@@ -445,7 +445,6 @@ def cmd_check(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--config", default=None, help="key=value config file with sections")
     p.add_argument("--workers", type=int,
                    default=int(os.environ.get(WORKERS_ENV, "1")))
@@ -496,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_disk)
 
     p = sub.add_parser("constants", help="Hardy/Bargmann distances and C_k")
-    p.add_argument("--disk", action="store_true")
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--k", default="1..4")
@@ -506,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("effective", help="effective boundary operator")
-    p.add_argument("--disk", action="store_true")
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--count", type=int, default=5)
@@ -548,23 +545,45 @@ def _glue_negative_sweeps(argv: List[str]) -> List[str]:
     return out
 
 
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: List[str]) -> argparse.Namespace:
+    """Re-parse argv with the config file's section as subcommand defaults,
+    so command-line flags still win.  Keys name long flags (--B and --b
+    differ); a key with no exact match may match one flag case-insensitively."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    if not cp.read(args.config):
+        raise ConfigError(f"config file {args.config!r} not found")
+    if not cp.has_section(args.command):
+        return args
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    sub = subparsers.choices[args.command]
+    options = sub._option_string_actions
+    defaults = {}
+    for key, value in cp.items(args.command):
+        flag = f"--{key.replace('_', '-')}"
+        folded = [f for f in options if f.lower() == flag.lower()]
+        action = options.get(flag) or (options[folded[0]] if len(folded) == 1 else None)
+        if action is None:
+            raise ConfigError(f"unknown key {key!r} in section [{args.command}]")
+        if action.nargs == 0:  # a store_true switch
+            defaults[action.dest] = cp.getboolean(args.command, key)
+            continue
+        typed = action.type(value) if action.type else value
+        if action.choices and typed not in action.choices:
+            raise ConfigError(f"{key} = {value!r} is not one of {action.choices}")
+        defaults[action.dest] = typed
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     argv = _glue_negative_sweeps(list(argv) if argv is not None else sys.argv[1:])
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            cp = configparser.ConfigParser()
-            if not cp.read(args.config):
-                raise ConfigError(f"config file {args.config!r} not found")
-            if cp.has_section(args.command):
-                base = [args.command]
-                for key, value in cp.items(args.command):
-                    flag = f"--{key.replace('_', '-')}"
-                    base.extend([flag, value])
-                rest = list(argv) if argv is not None else sys.argv[1:]
-                rest = [a for a in rest if a != args.command]
-                args = parser.parse_args(base + rest)
+            args = _apply_config(parser, args, argv)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, golden_min, integrate
+from .numerics import Bracket, Grid1D, bisect, integrate
 
 __all__ = [
     "ThetaPoint",
@@ -135,46 +135,50 @@ def theta(
     return ThetaPoint(sign=sign, k=k, xi=xi, theta=root)
 
 
-def _xi_minimum(alpha: float, n: int) -> Tuple[float, float, float]:
-    """Minimizer, minimum and truncation of xi -> nu_1^-(alpha, xi).
-
-    Coarse scan on [-2, alpha + 6] (the critical point satisfies
-    xi_alpha = (nu + alpha^2) / (2 alpha) < (2 + alpha^2) / (2 alpha),
-    inside the bracket), then golden section.  The whole scan shares one
-    truncation so the grid step cannot drift with xi; for large alpha the
-    minimum is only ~1e-5 deep and any step drift would swamp it.
-    """
-    lo, hi = -2.0, alpha + 6.0
-    for attempt in range(3):
-        x1 = max(fiber.MIN_LENGTH, abs(lo) + fiber.TAIL_PAD, abs(hi) + fiber.TAIL_PAD)
-        xs = np.arange(lo, hi + 1e-12, _XI_SCAN_STEP)
-        vals = [fiber.nu1("minus", alpha, x, n, x1) for x in xs]
-        i = int(np.argmin(vals))
-        if 0 < i < len(xs) - 1:
-            xi_min, nu_min = golden_min(
-                lambda x: fiber.nu1("minus", alpha, x, n, x1), xs[i - 1], xs[i + 1]
-            )
-            return xi_min, nu_min, x1
-        lo -= 4.0
-        hi += 4.0
-    raise RuntimeError(
-        f"minimizer of nu_1^-({alpha}, .) stayed on the scan boundary after expansion"
-    )
+def _truncation(alpha: float) -> float:
+    """One fiber truncation per alpha, shared by every xi the searches visit
+    (up to x1 - TAIL_PAD >= alpha + 6).  A fixed grid step keeps the domain's
+    xi-dependence out of the root functions, which for large alpha resolve a
+    minimum only ~1e-5 deep."""
+    return max(fiber.MIN_LENGTH, alpha + 6.0 + fiber.TAIL_PAD)
 
 
 def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, float]:
     """(nu(alpha), xi_alpha, u^2(0)) for the half-plane ground energy.
 
-    nu(alpha) = min over xi of nu_1^-(alpha, xi); the trace is taken at the
-    minimizer.
+    nu(alpha) = min over xi of nu_1^-(alpha, xi).  By Hellmann-Feynman,
+    d_xi nu_1^- = -(nu_1^- + alpha^2 - 2 alpha xi) u(0)^2, so the minimizer
+    xi_alpha is the first sign change of g(xi) = nu_1^- + alpha^2 - 2 alpha xi
+    (later ones sit at a local maximum or in the flat tail).  g is stepped
+    from xi = -2 up to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or
+    the end of the truncation, and the first sign-changing cell is bisected.
+    At small alpha g dips only ~alpha / 3 below zero; below the grid's error
+    (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    xi_min, nu_min, x1 = _xi_minimum(alpha, n)
+    x1 = _truncation(alpha)
+
+    def g(xi: float) -> float:
+        return fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2.0 * alpha * xi
+
+    xi_max = min((2.0 + alpha * alpha) / (2.0 * alpha), x1 - fiber.TAIL_PAD)
+    lo, g_lo = -2.0, g(-2.0)
+    hi, g_hi = lo + _XI_SCAN_STEP, g(lo + _XI_SCAN_STEP)
+    while g_hi > 0.0:
+        if hi > xi_max:
+            raise RuntimeError(
+                f"no critical point of nu_1^-({alpha}, .) below xi = {xi_max:.6g} "
+                f"at n = {n}; the grid does not resolve the minimum, increase n"
+            )
+        lo, g_lo = hi, g_hi
+        hi += _XI_SCAN_STEP
+        g_hi = g(hi)
+    xi_a = bisect(g, Bracket(lo, hi, g_lo, g_hi))
     eig = fiber.fiber_eigs(
-        fiber.FiberSpec("minus", alpha, xi_min, grid=Grid1D(0.0, x1, n))
+        fiber.FiberSpec("minus", alpha, xi_a, grid=Grid1D(0.0, x1, n))
     )
-    return nu_min, xi_min, eig.u0**2
+    return float(eig.values[0]), xi_a, eig.u0**2
 
 
 def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
@@ -197,31 +201,20 @@ def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
 def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
     """The unique positive solution of nu(alpha) = alpha^2, with derived data.
 
-    Returns a0 together with u^2(0) at (a0, a0), the second xi-derivative of
-    nu_1^- at its minimum (centered differences) and the coupling constant
-    c0 = a0 u^2(0) / (2 a0 - u^2(0)).
+    a0 = c_gamma(1), the root of nu_1^-(a, a) = a^2.  Returns it together with
+    u^2(0) at (a0, a0), the second xi-derivative of nu_1^- there (centered
+    differences) and the coupling constant c0 = a0 u^2(0) / (2 a0 - u^2(0)).
     """
-
-    def f(alpha: float) -> float:
-        nu, _, _ = nu_of_alpha(alpha, n)
-        return nu - alpha * alpha
-
-    lo, hi = 0.5, 1.5
-    f_lo, f_hi = f(lo), f(hi)
-    while f_lo * f_hi >= 0.0:  # nu < 2 guarantees f(sqrt(2)) < 0; widen if needed
-        lo *= 0.5
-        hi += 0.5
-        f_lo, f_hi = f(lo), f(hi)
-        if hi > 8.0:
-            raise RuntimeError("failed to bracket a0")
-    a0 = bisect(f, Bracket(lo, hi, f_lo, f_hi), tol)
-
-    nu, xi_a, u0sq = nu_of_alpha(a0, n)
+    a0 = c_gamma(1.0, n, tol)
+    eig = fiber.fiber_eigs(
+        fiber.FiberSpec("minus", a0, a0, grid=Grid1D(0.0, _truncation(a0), n))
+    )
+    u0sq = eig.u0**2
     delta = 0.02
     d2 = (
-        fiber.nu1("minus", a0, xi_a + delta, n)
-        - 2.0 * fiber.nu1("minus", a0, xi_a, n)
-        + fiber.nu1("minus", a0, xi_a - delta, n)
+        fiber.nu1("minus", a0, a0 + delta, n)
+        - 2.0 * fiber.nu1("minus", a0, a0, n)
+        + fiber.nu1("minus", a0, a0 - delta, n)
     ) / delta**2
     c0 = a0 * u0sq / (2.0 * a0 - u0sq)
     return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=d2, c0=c0, grid_n=n)
@@ -307,19 +300,37 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
 
     With the boundary term weighted by gamma, the half-plane energy becomes
     nu(c * gamma); the constant is the unique positive root of
-    nu(c gamma) = c^2.  gamma = 1 recovers a0.
+    nu(c gamma) = c^2; gamma = 1 recovers a0.  At that root the relation
+    xi = (nu + alpha^2) / (2 alpha) puts the minimizer at
+    xi_c = c (1 + gamma^2) / (2 gamma), so c is a root of
+    f(c) = nu_1^-(c gamma, xi_c) - c^2, with no inner minimization.
+    f >= nu(c gamma) - c^2 > 0 below c, but f turns positive again where
+    xi_c meets a local maximum of nu_1^- (near c = 0.75 at gamma = 0.1), so
+    c is the *first* sign change: c steps so that xi_c advances by the xi
+    step of nu_of_alpha, then that cell is bisected.  Where f never dips
+    below zero (see nu_of_alpha) RuntimeError is raised, not a tail root.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    slope = (1.0 + gamma * gamma) / (2.0 * gamma)
 
     def f(c: float) -> float:
-        nu, _, _ = nu_of_alpha(c * gamma, n)
-        return nu - c * c
+        alpha = c * gamma
+        return fiber.nu1("minus", alpha, c * slope, n, _truncation(alpha)) - c * c
 
-    lo, hi = 1e-3, math.sqrt(2.0) + 0.2
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi >= 0.0:
-        raise RuntimeError(f"failed to bracket c_gamma for gamma={gamma}")
+    step = _XI_SCAN_STEP / slope
+    c_max = math.sqrt(2.0) + 0.2  # nu < 2 puts the root below sqrt(2)
+    lo, f_lo = 1e-3, f(1e-3)
+    hi, f_hi = lo + step, f(lo + step)
+    while f_hi > 0.0:
+        if hi > c_max or hi * slope > _truncation(hi * gamma) - fiber.TAIL_PAD:
+            raise RuntimeError(
+                f"failed to bracket c_gamma for gamma={gamma} at n = {n}; "
+                "the grid does not resolve the minimum, increase n"
+            )
+        lo, f_lo = hi, f_hi
+        hi += step
+        f_hi = f(hi)
     return bisect(f, Bracket(lo, hi, f_lo, f_hi), tol)
 
 

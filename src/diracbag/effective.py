@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
+import scipy.linalg
 
 from .dispersion import A0Result
 
@@ -143,11 +144,11 @@ def qeff_general(spec: EffSpec, count: int, check: bool = True) -> EffSpectrum:
     def solve(cutoff: int) -> np.ndarray:
         modes = np.arange(-cutoff, cutoff + 1)
         diag = (2.0 * math.pi * modes / spec.L + spec.t_h) ** 2
-        coeffs = _kappa_coefficients(spec, 2 * cutoff)
-        mat = np.diag(diag).astype(complex)
-        for i, mi in enumerate(modes):
-            for j, mj in enumerate(modes):
-                mat[i, j] -= coeffs[(mi - mj) + 2 * cutoff]
+        c = _kappa_coefficients(spec, 2 * cutoff)
+        # entry (i, j) couples modes i and j through c_{i-j}, stored at 2 cutoff + i - j
+        mat = np.diag(diag) - scipy.linalg.toeplitz(
+            c[2 * cutoff:], c[2 * cutoff::-1]
+        )
         vals = np.linalg.eigvalsh(mat)
         return vals[:count]
 

@@ -1,14 +1,14 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, bracketed bisection, golden-section
-minimization and composite quadrature.  Everything here is a pure function
-of its inputs; callers may fan out over parameter grids freely.
+Symmetric tridiagonal eigensolves, bracketed bisection and composite
+quadrature.  Everything here is a pure function of its inputs; callers may
+fan out over parameter grids freely.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,16 +22,11 @@ __all__ = [
     "BracketError",
     "eig_sym_tridiag",
     "bisect",
-    "golden_min",
     "integrate",
 ]
 
-# Default tolerances; discretization error dominates far above these.
-EIG_TOL = 1e-12
+# Default root tolerance; discretization error dominates far above it.
 ROOT_TOL = 1e-10
-GOLDEN_TOL = 1e-8
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 class EigenConvergenceError(RuntimeError):
@@ -168,33 +163,6 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> fl
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = GOLDEN_TOL,
-) -> Tuple[float, float]:
-    """(argmin, min) of a unimodal function on [lo, hi] by golden section."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
 
 
 def integrate(

@@ -114,9 +114,49 @@ def test_config_file_defaults_and_override(tmp_path):
     assert meta2["alpha"] == "2"
 
 
+def test_config_out_named_like_subcommand(tmp_path, monkeypatch):
+    # the subcommand name may appear again as a flag value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("[a0]\nn = 1001\n")
+    assert run(["a0", "--config", "run.cfg", "--out", "a0"]) == 0
+    doc = json.loads((tmp_path / "a0" / "a0.json").read_text())
+    assert doc["config"]["n"] == "1001"
+
+
+def test_config_key_case_fallback(tmp_path):
+    # keys without an exact flag match are matched case-insensitively
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[momenta]\nALPHA = 1.0\nXi = 0.5\nN = 801\n")
+    out = tmp_path / "case"
+    assert run(["momenta", "--config", str(cfg), "--out", str(out)]) == 0
+    meta, _, _ = read_csv(out / "momenta.csv")
+    assert (meta["alpha"], meta["n"]) == ("1", "801")
+
+
+def test_config_boolean_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[disk]\nB = const:1\nzigzag = true\n")
+    out = tmp_path / "zz"
+    assert run(["disk", "--config", str(cfg), "--h", "0.25", "--neg", "1",
+                "--pos", "1", "--n", "401", "--n-a0", "1001", "--out", str(out)]) == 0
+    meta, _, rows = read_csv(out / "disk_report.csv")
+    assert meta["zigzag"] == "True"
+    assert "zigzag_lower_bound" in {r[2] for r in rows}
+
+
+@pytest.mark.parametrize("body", ["[momenta]\nbogus = 1\n",
+                                  "[dispersion]\nbranch = nu-middle\n",
+                                  "[disk]\nzigzag = maybe\n"])
+def test_config_bad_entry_is_config_error(tmp_path, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    command = body[1:body.index("]")]
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+
+
 def test_constants_command(tmp_path):
     out = tmp_path / "ck"
-    assert run(["constants", "--disk", "--B", "1", "--R", "1",
+    assert run(["constants", "--B", "1", "--R", "1",
                 "--k", "1..4", "--out", str(out)]) == 0
     meta, header, rows = read_csv(out / "constants.csv")
     got = [float(r[3]) for r in rows]
@@ -125,7 +165,7 @@ def test_constants_command(tmp_path):
 
 def test_effective_command_disk(tmp_path):
     out = tmp_path / "eff"
-    assert run(["effective", "--disk", "--R", "1", "--h", "0.1",
+    assert run(["effective", "--R", "1", "--h", "0.1",
                 "--count", "5", "--n-a0", "1001", "--out", str(out)]) == 0
     meta, header, rows = read_csv(out / "effective.csv")
     names = [r[0] for r in rows]
@@ -176,6 +216,51 @@ def test_compare_alias(tmp_path):
                 "--neg", "1", "--pos", "1", "--n", "401", "--n-a0", "1001",
                 "--out", str(out)]) == 0
     assert (out / "disk_report.csv").exists()
+
+
+GOLDEN = {
+    "dispersion_nu-minus.csv": (
+        ["dispersion", "--branch", "nu-minus", "--alpha", "2", "--k", "1..2",
+         "--xi", "0:2:1", "--n", "501"],
+        "c796d210137e460962715e701c1f81929cf67586b4249fbf9b8d4a067de8da5f"),
+    "dispersion_theta.csv": (
+        ["dispersion", "--branch", "theta", "--k", "1..1", "--xi", "1:2:0.5",
+         "--n", "501"],
+        "42197dfbf971859d95b517d2bcd77b186cdfca10d95f339ce044024dd7bd7ccb"),
+    "momenta.csv": (
+        ["momenta", "--alpha", "1.3132547", "--xi", "1.3132547", "--n", "1001"],
+        "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),
+    "constants.csv": (
+        ["constants", "--B", "1", "--R", "1", "--k", "1..4"],
+        "a802d1fe3172de3b0745657165157adf8551bd3f31d1686c458383ca3a649d95"),
+    "a0.json": (
+        ["a0", "--n", "1001"],
+        "a17579c8bf130d4ecf591598d4eefda2602925f349d88959aff57dfbc1c7d8e1"),
+    "effective.csv": (
+        ["effective", "--R", "1", "--h", "0.1", "--count", "5", "--n-a0", "1001"],
+        "7c671ed95969b29dda8891fa17644f4f0cf903b39c6d7ff372266a141a179d2d"),
+    "effective_kappa.csv": (
+        ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
+         "--count", "3", "--n-a0", "1001"],
+        "4a602352ae86f11081ee1b29f0015a9c5f2a716b58bc7dc6ea28b5c6b9b52ed1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_payload_sha256_golden(tmp_path, monkeypatch, name):
+    # payload hashes are independent of the header, the output path and the
+    # process; a change here means the printed numbers moved
+    argv, digest = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    s = np.arange(256) / 256 * 2 * math.pi
+    np.savetxt("kappa.csv", 1.0 + 0.2 * np.cos(s), delimiter=",")
+    assert run(argv + ["--out", "out"]) == 0
+    path = tmp_path / "out" / name.replace("_kappa", "")
+    if name.endswith(".json"):
+        got = json.loads(path.read_text())["sha256"]
+    else:
+        got = read_csv(path)[0]["sha256"]
+    assert got == digest
 
 
 def test_bad_sweep_is_config_error(tmp_path):

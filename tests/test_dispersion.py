@@ -49,6 +49,29 @@ def test_nu_of_alpha_critical_relation(a0res):
         assert nu == pytest.approx(-(alpha**2) + 2 * alpha * xi_a, abs=3e-4)
 
 
+def test_nu_of_alpha_is_minimum_of_xi_scan():
+    # the first sign change of nu_1^- + alpha^2 - 2 alpha xi must be the
+    # global minimizer of nu_1^-(alpha, .), not a later critical point; on the
+    # grid it sits O(step^2 / alpha) from the discrete minimizer
+    n = 2001
+    for alpha in (0.05, 2.0, 50.0):
+        nu, xi_a, _ = dispersion.nu_of_alpha(alpha, n)
+        x1 = dispersion._truncation(alpha)
+        top = min((2 + alpha**2) / (2 * alpha), x1 - fiber.TAIL_PAD)
+        xs = np.arange(-2.0, top, 0.05)
+        scan = np.array([fiber.nu1("minus", alpha, x, n, x1) for x in xs])
+        assert nu <= scan.min() + 5e-5
+        if alpha <= 2.0:  # at alpha = 50 the scan is flat to 1e-12; its argmin is noise
+            assert abs(xi_a - xs[np.argmin(scan)]) <= 0.05
+
+
+def test_nu_of_alpha_unresolved_minimum_raises():
+    # at alpha = 0.0075 on 1001 nodes the discretization error of nu_1^-
+    # exceeds the depth of the sign change; the scan stops at the truncation
+    with pytest.raises(RuntimeError, match="increase n"):
+        dispersion.nu_of_alpha(0.0075, n=1001)
+
+
 def test_nu_curve_invariants():
     grid = np.arange(0.05, 2.0 + 1e-9, 0.15)
     curve = dispersion.nu_curve(grid, n=1001)
@@ -127,6 +150,37 @@ def test_c_gamma(a0res):
     assert a0res.a0 < cg2 < math.sqrt(2)
     cg6 = dispersion.c_gamma(6.0, n=2001)
     assert cg2 < cg6 < math.sqrt(2)
+
+
+def test_halfplane_eigensolve_counts(monkeypatch):
+    # find_a0 and c_gamma are single bisections of nu_1^-(c gamma, xi_c) - c^2;
+    # counts, not timings, so the gate cannot flake.  A nested search over xi
+    # spent ~2300 solves on a0 alone.
+    calls = []
+    real = fiber.eig_sym_tridiag
+    monkeypatch.setattr(
+        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    fiber._values.cache_clear()
+    dispersion.find_a0.__wrapped__(501)
+    a0_calls = len(calls)
+    dispersion.c_gamma(0.8, 501)
+    assert a0_calls <= 54  # 36 measured
+    assert len(calls) - a0_calls <= 44  # 29 measured
+
+
+def test_c_gamma_small_gamma_is_first_root():
+    # at gamma = 0.1, f(c) = nu_1^-(c gamma, xi_c) - c^2 changes sign again
+    # near c = 0.75 and 1.4; the returned c must be the root of nu(c gamma) = c^2
+    n = 1001
+    for gamma in (0.1, 0.2):
+        c = dispersion.c_gamma(gamma, n)
+        assert dispersion.nu_of_alpha((c - 1e-7) * gamma, n)[0] > (c - 1e-7) ** 2
+        assert dispersion.nu_of_alpha((c + 1e-7) * gamma, n)[0] < (c + 1e-7) ** 2
+    # below the grid's resolution f never dips below zero near the root;
+    # the search must raise, not return the tail root near sqrt(2)
+    with pytest.raises(RuntimeError, match="increase n"):
+        dispersion.c_gamma(0.05, n)
 
 
 def test_variable_field_hessian(a0res):

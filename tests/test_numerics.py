@@ -10,10 +10,8 @@ from diracbag.numerics import (
     TridiagSym,
     bisect,
     eig_sym_tridiag,
-    golden_min,
     integrate,
 )
-from diracbag import fiber
 
 
 def test_eig_dirichlet_stencil():
@@ -88,32 +86,6 @@ def test_bisect_bracket_independence():
     for lo, hi in ((0.0, 1.0), (0.5, 2.0), (0.69, 0.75)):
         roots.append(bisect(f, Bracket(lo, hi, f(lo), f(hi)), 1e-12))
     assert max(roots) - min(roots) < 1e-11
-
-
-def test_golden_parabola_and_abs():
-    x, v = golden_min(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-10)
-    assert x == pytest.approx(1.0, abs=1e-8)
-    assert v == pytest.approx(0.0, abs=1e-15)
-    x, v = golden_min(abs, -1.0, 2.0, tol=1e-10)
-    assert x == pytest.approx(0.0, abs=1e-8)
-
-
-def test_golden_bad_interval():
-    with pytest.raises(ValueError):
-        golden_min(lambda x: x * x, 1.0, 1.0)
-
-
-def test_golden_on_dispersion_curve():
-    # unimodal first negative curve at alpha = 2; grid scan as oracle
-    f = lambda xi: fiber.nu1("minus", 2.0, xi, n=1001)
-    xs = np.arange(-2.0, 6.0 + 1e-9, 0.05)
-    vals = [f(x) for x in xs]
-    i = int(np.argmin(vals))
-    assert 0 < i < len(xs) - 1  # interior minimum
-    xg, vg = golden_min(f, -2.0, 6.0, tol=1e-6)
-    assert abs(xg - xs[i]) <= 0.05 + 1e-6
-    assert vg <= vals[i] + 1e-12
-    assert vg < 2.0
 
 
 def test_integrate_constant_linear():
