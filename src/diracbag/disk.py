@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import Grid1D, TridiagSym, eig_sym_tridiag, integrate
+from .numerics import Grid1D, TridiagSym, eig_sym_tridiag, integrate, sturm_counts
 
 __all__ = [
     "RadialField",
@@ -130,6 +130,16 @@ def radial_phi(field: RadialField, grid: Optional[Grid1D] = None) -> RadialGauge
     return RadialGauge(r=r, phi=phi, dphi=dphi, phi_min=float(phi[0]), hess=hess)
 
 
+def _radial_cells(spec: "DiskSpec") -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, flux midpoints, exact cell integrals of r dr, lumped masses."""
+    g = spec.rgrid
+    nodes = g.nodes()
+    flux = np.arange(1, g.n) * g.step
+    mass = nodes * g.step
+    mass[-1] = spec.field.R * g.step / 2.0 - g.step**2 / 8.0
+    return nodes, flux, flux * g.step, mass
+
+
 def _shifted_grid(R: float, n: int) -> Grid1D:
     # nodes (i + 1/2) * delta with the last node exactly at R; the origin is
     # avoided (mode-m radial functions behave like r^|m| there).
@@ -198,13 +208,10 @@ class _ModeOperator:
     def __init__(self, spec: DiskSpec, m: int, field_sign: str, orientation: int = 1):
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
-        g = spec.rgrid
-        n = g.n
-        delta = g.step
-        R = spec.field.R
+        n = spec.rgrid.n
+        delta = spec.rgrid.step
         h = spec.h
-        nodes = g.nodes()
-        flux = np.arange(1, n) * delta  # midpoints between nodes
+        _, flux, c, mass = _radial_cells(spec)
         s = (1.0 if field_sign == "plus" else -1.0) * orientation
         w = -h * m / flux + s * spec.gauge.dphi_at(flux)
 
@@ -214,44 +221,39 @@ class _ModeOperator:
             raise ValueError(
                 f"mode m={m} unresolvable on this grid (centrifugal cut at {j0}/{n})"
             )
-        dirichlet = m < 0
-        flux = flux[j0:]
         w = w[j0:]
+        c = c[j0:]
         a = 0.5 * w - h / delta
         b = 0.5 * w + h / delta
-        c = flux * delta  # exact cell integrals of r dr
 
-        if dirichlet:
+        if m < 0:
             # node j0 is the ghost zero; unknowns start at node j0 + 1
-            nodes = g.nodes()[j0 + 1 :]
-            kd = np.zeros(nodes.size)
+            mass = mass[j0 + 1 :]
+            kd = np.zeros(mass.size)
             kd[0] += c[0] * b[0] * b[0]
             kd[:-1] += c[1:] * a[1:] * a[1:]
             kd[1:] += c[1:] * b[1:] * b[1:]
             ko = c[1:] * a[1:] * b[1:]
         else:
-            nodes = g.nodes()[j0:]
-            kd = np.zeros(nodes.size)
+            mass = mass[j0:]
+            kd = np.zeros(mass.size)
             kd[:-1] += c * a * a
             kd[1:] += c * b * b
             ko = c * a * b
 
-        mass = nodes * delta
-        mass[-1] = R * delta / 2.0 - delta**2 / 8.0
         self.h = h
-        self.R = R
+        self.R = spec.field.R
         self.kd = kd
-        self.ko = ko
         self.mass = mass
-        self._sqrt_mass = np.sqrt(mass)
-        self._off = ko / (self._sqrt_mass[:-1] * self._sqrt_mass[1:])
+        sqrt_mass = np.sqrt(mass)
+        self.off = ko / (sqrt_mass[:-1] * sqrt_mass[1:])
 
     def ell(self, lam: float, k: int) -> np.ndarray:
         """First k eigenvalues of the form Q_lambda relative to the L2 norm."""
         diag = self.kd.copy()
         diag[-1] += self.h * lam * self.R
         diag /= self.mass
-        vals, _ = eig_sym_tridiag(TridiagSym(diag, self._off), k)
+        vals, _ = eig_sym_tridiag(TridiagSym(diag, self.off), k)
         return vals - lam * lam
 
 
@@ -359,41 +361,62 @@ def mode_E(
     return _bisect_ell(op, k, lo, hi, rel_tol)
 
 
+def _screen(n_below: Callable[[float], int], count: int, lo: float, hi: float, steps: int) -> float:
+    """A point x with n_below(x) >= count: hi doubles until it holds ``count``
+    roots, then ``steps`` bisections (geometric while lo > 0) lower it."""
+    for _ in range(60):
+        if n_below(hi) >= count:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise RuntimeError(f"fewer than {count} roots below {hi:.6g}")
+    for _ in range(steps):
+        mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        lo, hi = (lo, mid) if n_below(mid) >= count else (mid, hi)
+    return hi
+
+
 def _merge_modes(
-    spec: DiskSpec,
-    field_sign: str,
-    count: int,
-    orientation: int,
-    deep: int = 2,
+    spec: DiskSpec, field_sign: str, count: int, orientation: int
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """The ``count`` smallest roots E_k^{(m)} over the mode window.
+
+    ell_k(lambda) < 0 exactly when Q_lambda - lambda^2 M has at least k
+    negative eigenvalues, so one Sturm count of the stacked modes gives each
+    mode's number of roots below lambda.  Every (m, k) counted at
+    lambda-bar (1 + 1e-3), lambda-bar holding ``count`` roots, is bisected as
+    in ``mode_E``.  The 1e-3 margin is far wider than the ~1e-6 relative gap
+    between count and eigensolve roots near the positive-branch noise floor
+    (lambda ~ e^{-10} at h = 0.05): it costs a few extra bisections at most
+    and can never drop a selected root.
+    """
     m_lo, m_hi = spec.m_range
+    # the branch's generic root scale (k > 1 needs no Hardy quotient); it
+    # also enforces the positive-branch h floor
+    lo, hi = _bracket_for(spec, m_lo, field_sign, 2, orientation)
+    modes = range(m_lo, m_hi + 1)
+    ops = [_ModeOperator(spec, m, field_sign, orientation) for m in modes]
+    width = max(op.kd.size for op in ops)
+    diag = np.full((len(ops), width), np.inf)
+    off_sq = np.zeros((len(ops), width - 1))
+    for row, op in enumerate(ops):
+        diag[row, width - op.kd.size :] = op.kd / op.mass
+        off_sq[row, width - op.kd.size :] = op.off**2
+    edge = spec.h * spec.field.R / ops[0].mass[-1]  # every mode ends at r = R
+
+    def counts(lam: float) -> np.ndarray:
+        shifted = diag - lam * lam
+        shifted[:, -1] += lam * edge
+        return sturm_counts(shifted, off_sq)
+
+    lam_bar = _screen(lambda lam: int(counts(lam).sum()), count, lo, hi, 8)
     entries: List[Tuple[float, int, int]] = []
-    per_mode: dict = {}
-    for m in range(m_lo, m_hi + 1):
-        op = _ModeOperator(spec, m, field_sign, orientation)
-        roots = []
-        for k in range(1, deep + 1):
+    for m, op, below in zip(modes, ops, counts(lam_bar * (1.0 + 1e-3))):
+        for k in range(1, below + 1):
             lo, hi = _bracket_for(spec, m, field_sign, k, orientation)
-            roots.append(_bisect_ell(op, k, lo, hi, 1e-9))
-        per_mode[m] = (op, roots)
-        entries.extend((root, m, k + 1) for k, root in enumerate(roots))
+            entries.append((_bisect_ell(op, k, lo, hi, 1e-9), m, k))
     entries.sort()
     selected = entries[:count]
-
-    # deepen any mode whose deepest computed root was selected
-    changed = True
-    while changed:
-        changed = False
-        for val, m, k in selected:
-            op, roots = per_mode[m]
-            if k == len(roots):
-                lo, hi = _bracket_for(spec, m, field_sign, len(roots) + 1, orientation)
-                roots.append(_bisect_ell(op, len(roots) + 1, lo, hi, 1e-9))
-                entries.append((roots[-1], m, len(roots)))
-                changed = True
-        if changed:
-            entries.sort()
-            selected = entries[:count]
 
     if any(m in (m_lo, m_hi) for _, m, _ in selected):
         span = max(abs(m_lo), abs(m_hi))
@@ -457,33 +480,36 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    g = spec.rgrid
-    n = g.n
-    delta = g.step
+    n = spec.rgrid.n
+    delta = spec.rgrid.step
     h = spec.h
-    nodes = g.nodes()
-    flux = np.arange(1, n) * delta
-    c = flux * delta
-    mass = nodes * delta
-    mass[-1] = spec.field.R * delta / 2.0 - delta**2 / 8.0
+    nodes, _, c, mass = _radial_cells(spec)
     bvals = spec.field.samples(nodes)
     sgn = 1.0 if branch == "plus" else -1.0
 
-    m_lo, m_hi = spec.m_range
+    # Dirichlet at R: drop the last node, keep its flux cell
+    stiff = c * (h / delta) ** 2
+    kd = stiff.copy()
+    kd[1:] += stiff[:-1]
+    off = -stiff[:-1] / np.sqrt(mass[:-2] * mass[1:-1])
+    dphi = spec.gauge.dphi_at(nodes)
+    v = [(h * m / nodes - dphi) ** 2 + sgn * h * bvals
+         for m in range(spec.m_range[0], spec.m_range[1] + 1)]
+    diags = kd / mass[:-1] + np.array(v)[:, :-1]
+
+    # only modes with a value below a threshold holding ``count`` values can
+    # contribute (margin as in _merge_modes); a Sturm sweep costs about three
+    # eigensolves, so the threshold is doubled but not bisected
+    def below(x: float) -> np.ndarray:
+        return sturm_counts(diags - x, off**2)
+
+    top = _screen(lambda x: int(below(x).sum()), count, 0.0, h * float(np.max(bvals)), 0)
     per_mode_k = min(count + 1, n - 2)
     allvals: List[float] = []
-    for m in range(m_lo, m_hi + 1):
-        v = (h * m / nodes - spec.gauge.dphi_at(nodes)) ** 2 + sgn * h * bvals
-        # Dirichlet at R: drop the last node, keep its flux cell
-        kd = np.zeros(n - 1)
-        kd[:-1] += c[:-1] * (h / delta) ** 2
-        kd[1:] += c[:-1] * (h / delta) ** 2
-        kd[-1] += c[-1] * (h / delta) ** 2
-        ko = -c[:-1] * (h / delta) ** 2
-        diag = kd / mass[:-1] + v[:-1]
-        off = ko / np.sqrt(mass[:-2] * mass[1:-1])
-        vals, _ = eig_sym_tridiag(TridiagSym(diag, off), per_mode_k)
-        allvals.extend(float(x) for x in vals)
+    for diag, held in zip(diags, below(top * (1.0 + 1e-3))):
+        if held:
+            vals, _ = eig_sym_tridiag(TridiagSym(diag, off), per_mode_k)
+            allvals.extend(float(x) for x in vals)
     allvals.sort()
     return np.array(allvals[:count])
 

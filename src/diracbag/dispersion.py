@@ -210,14 +210,18 @@ def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
         fiber.FiberSpec("minus", a0, a0, grid=Grid1D(0.0, _truncation(a0), n))
     )
     u0sq = eig.u0**2
-    delta = 0.02
-    d2 = (
-        fiber.nu1("minus", a0, a0 + delta, n)
-        - 2.0 * fiber.nu1("minus", a0, a0, n)
-        + fiber.nu1("minus", a0, a0 - delta, n)
-    ) / delta**2
     c0 = a0 * u0sq / (2.0 * a0 - u0sq)
-    return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=d2, c0=c0, grid_n=n)
+    return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=_d2xi_nu(a0, a0, n), c0=c0, grid_n=n)
+
+
+def _d2xi_nu(alpha: float, xi: float, n: int) -> float:
+    """Centered second difference of nu_1^-(alpha, .) at xi."""
+    step = 0.02
+    return (
+        fiber.nu1("minus", alpha, xi + step, n)
+        - 2.0 * fiber.nu1("minus", alpha, xi, n)
+        + fiber.nu1("minus", alpha, xi - step, n)
+    ) / step**2
 
 
 def _ground_state(alpha: float, xi: float, n: int):
@@ -348,25 +352,16 @@ def variable_field_hessian(
       d2s_mu  = b2 (nu(as) - (as / 2) nu'(as)),  as = alpha / sqrt(b0p),
       d2xi_mu = second xi-derivative of nu_1^-(as, .) at its minimizer,
       gap_prefactor = sqrt(d2s_mu * d2xi_mu).
+    nu'(as) is u(0)^2 at the minimizer (Hellmann-Feynman, d_xi nu_1^- = 0).
     """
     if b0p <= 0:
         raise ValueError(f"b0p must be positive, got {b0p}")
     if b2 < 0:
         raise ValueError(f"b2 must be >= 0, got {b2}")
     a_s = alpha / math.sqrt(b0p)
-    nu, xi_a, _ = nu_of_alpha(a_s, n)
-    delta = 1e-3
-    nu_p, _, _ = nu_of_alpha(a_s + delta, n)
-    nu_m, _, _ = nu_of_alpha(a_s - delta, n)
-    dnu = (nu_p - nu_m) / (2 * delta)
+    nu, xi_a, dnu = nu_of_alpha(a_s, n)
     d2s_mu = b2 * (nu - 0.5 * a_s * dnu)
-
-    dxi = 0.02
-    d2xi_mu = (
-        fiber.nu1("minus", a_s, xi_a + dxi, n)
-        - 2.0 * fiber.nu1("minus", a_s, xi_a, n)
-        + fiber.nu1("minus", a_s, xi_a - dxi, n)
-    ) / dxi**2
+    d2xi_mu = _d2xi_nu(a_s, xi_a, n)
     return d2s_mu, d2xi_mu, math.sqrt(max(d2s_mu, 0.0) * max(d2xi_mu, 0.0))
 
 

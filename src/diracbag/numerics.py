@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, bracketed bisection and composite
-quadrature.  Everything here is a pure function of its inputs; callers may
-fan out over parameter grids freely.
+Symmetric tridiagonal eigensolves and Sturm counts, bracketed bisection and
+composite quadrature.  Everything here is a pure function of its inputs;
+callers may fan out over parameter grids freely.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "EigenConvergenceError",
     "BracketError",
     "eig_sym_tridiag",
+    "sturm_counts",
     "bisect",
     "integrate",
 ]
@@ -145,6 +146,26 @@ def eig_sym_tridiag(
         norms = np.sqrt(np.einsum("i,ij->j", w, vecs**2))
         vecs = vecs / norms
     return vals, vecs
+
+
+def sturm_counts(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
+    """Negative eigenvalue counts of a stack of symmetric tridiagonals.
+
+    Counts the negative LDL^T pivots (Sylvester inertia) of each matrix of
+    ``diag`` (..., n) with squared off-diagonals ``off_sq`` (broadcast to
+    (..., n-1)), looping over rows only; pass ``diag - sigma`` to count the
+    eigenvalues below sigma.  Shorter matrices are front-padded with an
+    infinite diagonal and zero coupling.  A zero pivot is read by its sign
+    bit and sends the next pivot to -+inf (Kahan's IEEE count); 0/0, a zero
+    pivot on a zero coupling, raises FloatingPointError.
+    """
+    piv = np.moveaxis(np.array(diag, dtype=float), -1, 0).copy()
+    e = np.broadcast_to(off_sq, piv.shape[1:] + (piv.shape[0] - 1,))
+    e = np.moveaxis(e, -1, 0).astype(float, order="C")
+    with np.errstate(divide="ignore", invalid="raise"):
+        for i in range(piv.shape[0] - 1):
+            piv[i + 1] -= e[i] / piv[i]
+    return np.count_nonzero(np.signbit(piv), axis=0)
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> float:

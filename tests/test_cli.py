@@ -239,6 +239,12 @@ GOLDEN = {
     "effective.csv": (
         ["effective", "--R", "1", "--h", "0.1", "--count", "5", "--n-a0", "1001"],
         "7c671ed95969b29dda8891fa17644f4f0cf903b39c6d7ff372266a141a179d2d"),
+    "disk_spectrum.csv": (
+        ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
+        "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
+    "disk_report.csv": (
+        ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
+        "72c35354295e0aa37d556b3cbd369599da2420296ce9164a18dc7df140923aad"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],

@@ -112,6 +112,50 @@ def test_mode_range_error(unit_field):
     assert err.value.suggested[1] > 1
 
 
+def _brute_force_roots(spec, field_sign, count, orientation):
+    # every root (m, k <= count) of the window, bisected one by one
+    m_lo, m_hi = spec.m_range
+    roots = sorted(
+        (disk.mode_E(spec, m, field_sign, k, orientation), m, k)
+        for m in range(m_lo, m_hi + 1)
+        for k in range(1, count + 1)
+    )
+    return roots[:count]
+
+
+@pytest.mark.parametrize("orientation", (1, -1))
+def test_dirac_spectrum_matches_brute_force(unit_field, orientation):
+    # the Sturm screening may only skip roots that cannot be selected, so
+    # values and provenance equal the full per-mode search bit for bit
+    count = 5
+    spec = disk.DiskSpec(field=unit_field, h=0.2, m_range=(-4, 4),
+                         rgrid=disk._shifted_grid(1.0, 1001))
+    sp = disk.dirac_spectrum(spec, count, orientation=orientation)
+    for sign, values, prov in (("plus", sp.pos, sp.pos_provenance),
+                               ("minus", sp.neg, sp.neg_provenance)):
+        best = _brute_force_roots(spec, sign, count, orientation)
+        assert values.tolist() == [v for v, _, _ in best]
+        assert prov == [(m, k) for _, m, k in best]
+
+
+def test_disk_eigensolve_counts(unit_field, monkeypatch):
+    # counts, not timings, so the gate cannot flake; bisecting two roots in
+    # every mode and deepening took 4306 solves for the spectrum, and the
+    # zigzag solved every one of the 31 modes per branch
+    calls = []
+    real = disk.eig_sym_tridiag
+    monkeypatch.setattr(
+        disk, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
+    disk.dirac_spectrum(spec, 5)
+    spectrum_calls = len(calls)
+    disk.zigzag_spectrum(spec, "plus", 3)
+    disk.zigzag_spectrum(spec, "minus", 3)
+    assert spectrum_calls <= 507  # 338 measured
+    assert len(calls) - spectrum_calls <= 13  # 9 measured
+
+
 def test_zigzag_bounds_and_pauli_shift(unit_field):
     spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
     plus = disk.zigzag_spectrum(spec, "plus", 3)

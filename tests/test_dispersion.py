@@ -193,6 +193,18 @@ def test_variable_field_hessian(a0res):
     assert d2s0 == 0.0
 
 
+def test_nu_prime_is_u0_squared(a0res):
+    # variable_field_hessian takes nu'(alpha) = u(0)^2 at the minimizer
+    # (Hellmann-Feynman); the centred difference it replaced agrees within a
+    # few delta^2 = 1e-6
+    n, delta = fiber.DEFAULT_N, 1e-3
+    for alpha in (a0res.a0, 2.0):
+        u0sq = dispersion.nu_of_alpha(alpha, n)[2]
+        fd = (dispersion.nu_of_alpha(alpha + delta, n)[0]
+              - dispersion.nu_of_alpha(alpha - delta, n)[0]) / (2 * delta)
+        assert u0sq == pytest.approx(fd, rel=5e-6)
+
+
 def test_interior_c0():
     assert dispersion.interior_c0(np.eye(2), 1.0) == pytest.approx(1.0)
     assert dispersion.interior_c0(np.diag([4.0, 1.0]), 2.0) == pytest.approx(1.0)

@@ -11,7 +11,9 @@ from diracbag.numerics import (
     bisect,
     eig_sym_tridiag,
     integrate,
+    sturm_counts,
 )
+from scipy.linalg import eigh_tridiagonal
 
 
 def test_eig_dirichlet_stencil():
@@ -59,6 +61,82 @@ def test_eig_interlacing_under_refinement():
 def test_eig_k_out_of_range():
     with pytest.raises(ValueError):
         eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 3)
+
+
+def _counts_below(d, e, shifts):
+    vals = eigh_tridiagonal(d, e, eigvals_only=True) if d.size > 1 else d
+    return [int(np.sum(vals < s)) for s in shifts], vals
+
+
+def _clear_shifts(vals, rng, size, gap):
+    """Random shifts at least gap * max|eig| away from every eigenvalue."""
+    scale = np.max(np.abs(vals))
+    cand = rng.uniform(vals.min() - 0.1 * scale, vals.max() + 0.1 * scale, 4 * size)
+    far = np.min(np.abs(cand[:, None] - vals[None, :]), axis=1) > gap * scale
+    return cand[far][:size]
+
+
+def test_sturm_counts_random_stack_matches_eigensolve():
+    rng = np.random.default_rng(5)
+    n, stack = 60, 12
+    d = rng.normal(size=(stack, n))
+    e = rng.normal(size=(stack, n - 1))
+    for shift in (-3.0, -0.5, 0.0, 0.7, 2.5):
+        got = sturm_counts(d - shift, e**2)
+        assert got.shape == (stack,)
+        for j in range(stack):
+            assert got[j] == _counts_below(d[j], e[j], [shift])[0][0]
+
+
+def test_sturm_counts_graded_matches_eigensolve():
+    # entries spanning sixteen orders of magnitude, shifts kept clear of the
+    # eigenvalues by more than the eigensolver's absolute accuracy
+    rng = np.random.default_rng(9)
+    n = 80
+    d = 10.0 ** np.linspace(-8, 8, n) * rng.uniform(0.5, 2.0, n)
+    e = np.sqrt(d[:-1] * d[1:]) * rng.uniform(-0.9, 0.9, n - 1)
+    vals = eigh_tridiagonal(d, e, eigvals_only=True)
+    shifts = _clear_shifts(vals, rng, 40, 1e-9)
+    assert shifts.size >= 20
+    got = sturm_counts(d[None, :] - shifts[:, None], np.tile(e**2, (shifts.size, 1)))
+    assert got.tolist() == _counts_below(d, e, shifts)[0]
+
+
+def test_sturm_counts_front_padding():
+    # a shorter matrix padded with an infinite diagonal and zero coupling
+    # keeps its own count inside a stack of longer ones
+    rng = np.random.default_rng(13)
+    d, e = rng.normal(size=7), rng.normal(size=6)
+    dl, el = rng.normal(size=10), rng.normal(size=9)
+    diag = np.vstack([np.concatenate([np.full(3, np.inf), d]), dl])
+    off_sq = np.vstack([np.concatenate([np.zeros(3), e**2]), el**2])
+    for shift in (-1.0, 0.0, 0.4, 1.5):
+        got = sturm_counts(diag - shift, off_sq)
+        assert got[0] == sturm_counts(d - shift, e**2)
+        assert got[0] == _counts_below(d, e, [shift])[0][0]
+        assert got[1] == _counts_below(dl, el, [shift])[0][0]
+
+
+def test_sturm_counts_one_by_one():
+    assert sturm_counts(np.array([2.0]), np.zeros(0)) == 0
+    assert sturm_counts(np.array([-2.0]), np.zeros(0)) == 1
+    assert sturm_counts(np.array([[3.0], [-1.0]]), np.zeros((2, 0))).tolist() == [0, 1]
+
+
+def test_sturm_counts_zero_pivot():
+    # shifts exactly at diagonal entries; at the leading one the first pivot
+    # is zero, read as +0 or -0, and the count must not depend on its sign
+    d = np.array([1.0, 2.0, 3.0, 4.0])
+    e = np.array([1.0, 1.0, 1.0])
+    vals = eigh_tridiagonal(d, e, eigvals_only=True)
+    for shift in d:
+        assert np.min(np.abs(vals - shift)) > 1e-3  # not an eigenvalue
+        expected = int(np.sum(vals < shift))
+        assert sturm_counts(d - shift, e**2) == expected
+        assert sturm_counts(np.where(d == shift, -0.0, d - shift), e**2) == expected
+    # a zero pivot on a zero coupling is 0/0 and must not be read silently
+    with pytest.raises(FloatingPointError):
+        sturm_counts(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
 
 
 def test_bisect_sqrt2():
