@@ -144,12 +144,16 @@ def cmd_dispersion(args) -> int:
             header.append(f"nu_{sign}_{k}")
             columns.append([fibermod.nu_k(sign, k, args.alpha, x, args.n) for x in xi])
     elif args.branch == "theta":
-        for k in ks:
-            header.append(f"theta_plus_{k}")
-            columns.append([dispmod.theta("plus", k, x, args.n).theta for x in xi])
-        for k in ks:
-            header.append(f"theta_minus_{k}")
-            columns.append([-dispmod.theta("minus", k, x, args.n).theta for x in xi])
+        for sign in ("plus", "minus"):
+            for k in ks:
+                header.append(f"theta_{sign}_{k}")
+                pts = [dispmod.theta(sign, k, x, args.n) for x in xi]
+                for pt in pts:
+                    if pt.theta == 0.0:
+                        print(f"note: theta_{sign}_{k}(xi={_fmt(pt.xi)}) is below the "
+                              f"resolution floor at n={args.n}; written as 0",
+                              file=sys.stderr)
+                columns.append([pt.theta if sign == "plus" else -pt.theta for pt in pts])
     else:
         raise ConfigError(f"unknown branch {args.branch!r}")
     rows = [[x] + [col[i] for col in columns] for i, x in enumerate(xi)]
@@ -251,13 +255,13 @@ def cmd_disk(args) -> int:
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # row-level isolation
-                    errors.append((h, str(exc)))
+                    errors.append((h, f"{type(exc).__name__}: {exc}"))
     else:
         for job in jobs:
             try:
                 results.append(_disk_single_h(*job))
             except Exception as exc:
-                errors.append((job[2], str(exc)))
+                errors.append((job[2], f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: -r["h"])
 
     a0res = dispmod.find_a0(args.n_a0)

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, integrate
+from .numerics import Bracket, Grid1D, bisect, integrate, newton
 
 __all__ = [
     "ThetaPoint",
@@ -99,28 +99,33 @@ def theta(
     """Dispersion-curve point: the unique alpha > 0 with nu_k(alpha, xi) = alpha^2.
 
     The bracket starts at (eps, sqrt(2k) + 1) and the upper end doubles until
-    the defining function changes sign.
+    the defining function changes sign.  The root is then found by safeguarded
+    Newton from the upper end, with the exact derivative of the discrete
+    eigenvalue (the grid form of d nu_k / d alpha = u_k(0)^2, Hellmann-Feynman).
+    A root below the resolution floor is returned as theta = 0.0.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
 
-    def f(alpha: float) -> float:
-        return fiber.nu_k(sign, k, alpha, xi, n) - alpha * alpha
+    @functools.lru_cache(maxsize=None)  # the final upper end is also Newton's start
+    def fd(alpha: float) -> Tuple[float, float]:
+        nu, dnu = fiber.nu_k_and_dalpha(sign, k, alpha, xi, n)
+        return nu - alpha * alpha, dnu - 2.0 * alpha
 
     hi = math.sqrt(2.0 * k) + 1.0
     # The lower end must clear the O(step^2) discretization floor of nu_k:
     # near a zero mode the discrete nu can dip a few 1e-6 below zero, which
     # would fake a sign change at alpha ~ 0.
     lo = _ALPHA_EPS
-    f_lo = f(lo)
+    f_lo = fd(lo)[0]
     while f_lo <= 0.0 and lo < 0.3 * hi:
         lo *= 10.0
-        f_lo = f(lo)
+        f_lo = fd(lo)[0]
     if f_lo <= 0.0:
         # root below the resolution floor (the first plus curve deep in its
         # flat tail); both sides of the defining relation vanish to tolerance
         return ThetaPoint(sign=sign, k=k, xi=xi, theta=0.0)
-    f_hi = f(hi)
+    f_hi = fd(hi)[0]
     expansions = 0
     while f_lo * f_hi >= 0.0:
         expansions += 1
@@ -130,8 +135,8 @@ def theta(
                 f"(sign={sign}, k={k}, xi={xi})"
             )
         hi *= 2.0
-        f_hi = f(hi)
-    root = bisect(f, Bracket(lo, hi, f_lo, f_hi), tol)
+        f_hi = fd(hi)[0]
+    root = newton(fd, Bracket(lo, hi, f_lo, f_hi), tol)
     return ThetaPoint(sign=sign, k=k, xi=xi, theta=root)
 
 

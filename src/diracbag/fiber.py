@@ -28,6 +28,7 @@ __all__ = [
     "whole_line_levels",
     "fiber_eigs",
     "fiber_eig_derivatives",
+    "nu_k_and_dalpha",
 ]
 
 DEFAULT_N = 4001
@@ -219,6 +220,23 @@ def nu_k(
     if x1 is None:
         x1 = max(MIN_LENGTH, abs(xi) + TAIL_PAD)
     return _values(sign, alpha, xi, n, x1, k)[k - 1]
+
+
+def nu_k_and_dalpha(
+    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N
+) -> Tuple[float, float]:
+    """(nu_k^{sign}(alpha, xi), d nu_k / d alpha) from the k-th eigenpair alone.
+
+    alpha enters the symmetrized matrix only through its first diagonal entry,
+    2 (alpha - xi) / step, so by Hellmann-Feynman the exact derivative of the
+    discrete eigenvalue is (2 / step) v_k[0]^2 for the unit-Euclidean
+    eigenvector v_k.  (The quadrature-normalized u(0)^2 differs from it by
+    O(step^2).)  The value agrees with ``nu_k`` (default truncation) to
+    rounding, not bit for bit.
+    """
+    spec = FiberSpec(sign, alpha, xi, grid=default_grid(xi, n))
+    vals, vecs = eig_sym_tridiag(_assemble_half_line(spec), k, vectors=True, lower=k)
+    return float(vals[0]), 2.0 / spec.grid.step * float(vecs[0, 0]) ** 2
 
 
 def nu1(

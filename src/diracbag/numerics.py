@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Symmetric tridiagonal eigensolves and Sturm counts, bracketed bisection and
-composite quadrature.  Everything here is a pure function of its inputs;
-callers may fan out over parameter grids freely.
+safeguarded Newton, and composite quadrature.  Everything here is a pure
+function of its inputs; callers may fan out over parameter grids freely.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "eig_sym_tridiag",
     "sturm_counts",
     "bisect",
+    "newton",
     "integrate",
 ]
 
@@ -110,8 +111,10 @@ def eig_sym_tridiag(
     k: int,
     vectors: bool = False,
     weights: Optional[np.ndarray] = None,
+    lower: int = 1,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """k smallest eigenvalues (ascending) of a symmetric tridiagonal matrix.
+    """Eigenvalues lower..k (ascending, 1-based) of a symmetric tridiagonal
+    matrix; the default ``lower = 1`` gives the k smallest.
 
     Values are computed by Sturm-sequence bisection and, when requested,
     eigenvectors by inverse iteration (LAPACK stebz/stein via scipy).
@@ -122,6 +125,8 @@ def eig_sym_tridiag(
     """
     if k < 1 or k > m.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={m.n}")
+    if not 1 <= lower <= k:
+        raise ValueError(f"need 1 <= lower <= k, got lower={lower}, k={k}")
     try:
         if m.n == 1:
             vals = np.array([m.diag[0]])
@@ -132,7 +137,7 @@ def eig_sym_tridiag(
                 m.offdiag,
                 eigvals_only=not vectors,
                 select="i",
-                select_range=(0, k - 1),
+                select_range=(lower - 1, k - 1),
             )
             if vectors:
                 vals, vecs = out
@@ -184,6 +189,37 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> fl
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def newton(
+    fd: Callable[[float], Tuple[float, float]], b: Bracket, tol: float = ROOT_TOL
+) -> float:
+    """Root of f on a sign-changing bracket by safeguarded Newton (rtsafe).
+
+    ``fd(x)`` returns (f(x), f'(x)).  Iteration starts at ``b.hi``; every
+    evaluation shrinks the bracket to the side that keeps the sign change, and
+    a step that would leave it (or a zero derivative) is replaced by the
+    midpoint.  Stops when the step or the bracket is at most ``tol``, or the
+    step is lost to rounding.
+    """
+    lo, hi = b.lo, b.hi
+    x = hi
+    while True:
+        f, df = fd(x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (b.f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        nxt = x - f / df if df != 0.0 else math.nan
+        if not (lo < nxt < hi or nxt == x):  # nxt == x: the step is lost to rounding
+            nxt = 0.5 * (lo + hi)
+            if nxt <= lo or nxt >= hi:  # interval at rounding limit
+                return nxt
+        if abs(nxt - x) <= tol or hi - lo <= tol:
+            return nxt
+        x = nxt
 
 
 def integrate(

@@ -68,6 +68,21 @@ def test_dispersion_theta_has_gap(tmp_path):
         assert float(row[2]) <= -1.2  # lower band below the -a0 gap edge
 
 
+def test_dispersion_theta_floor_is_reported(tmp_path, capsys):
+    # theta_plus_1 at xi = -8 is below the resolution floor: the CSV keeps
+    # its 0 and the note goes to stderr, outside the hashed payload
+    out = tmp_path / "floor"
+    assert run(["dispersion", "--branch", "theta", "--k", "1..1",
+                "--xi", "-8:-8:1", "--n", "501", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["note: theta_plus_1(xi=-8) is below the resolution floor at n=501; "
+                   "written as 0"]
+    meta, header, rows = read_csv(out / "dispersion_theta.csv")
+    assert rows[0][:2] == ["-8", "0"]
+    assert meta["sha256"] == (
+        "80f9f06241abad8cca97599e6a8d2359e186e08050870d0a74a69c417db5706b")
+
+
 def test_a0_command(tmp_path):
     out = tmp_path / "a0"
     assert run(["a0", "--n", "1001", "--out", str(out)]) == 0
@@ -210,6 +225,16 @@ def test_disk_command(tmp_path):
             assert float(r[6]) == 1.0
 
 
+def test_disk_error_row_names_exception_type(tmp_path):
+    # h = 0.01 is below disk.POSITIVE_H_MIN, so the positive branch refuses it
+    out = tmp_path / "err"
+    assert run(["disk", "--h", "0.01", "--neg", "1", "--pos", "1", "--n", "401",
+                "--n-a0", "1001", "--out", str(out)]) == cli.EXIT_SOLVER
+    _, _, rows = read_csv(out / "disk_report.csv")
+    assert [r[:3] for r in rows] == [["0.01", "0", "error"]]
+    assert rows[0][6].startswith("ValueError: h=0.01 below the supported range")
+
+
 def test_compare_alias(tmp_path):
     out = tmp_path / "cmp"
     assert run(["compare", "--B", "const:1", "--R", "1", "--h", "0.25",
@@ -226,7 +251,7 @@ GOLDEN = {
     "dispersion_theta.csv": (
         ["dispersion", "--branch", "theta", "--k", "1..1", "--xi", "1:2:0.5",
          "--n", "501"],
-        "42197dfbf971859d95b517d2bcd77b186cdfca10d95f339ce044024dd7bd7ccb"),
+        "77566aa847c5a04926397b3b53c7d86792e5abc1a0ae30ee74c0f14408a60512"),
     "momenta.csv": (
         ["momenta", "--alpha", "1.3132547", "--xi", "1.3132547", "--n", "1001"],
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),

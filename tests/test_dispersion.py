@@ -4,13 +4,57 @@ import numpy as np
 import pytest
 
 from diracbag import dispersion, fiber
+from diracbag.numerics import Bracket, bisect
 
 
 def test_theta_defining_relation():
     for sign, k, xi in (("minus", 1, 0.5), ("minus", 2, 2.0), ("plus", 1, 1.0)):
         pt = dispersion.theta(sign, k, xi, n=2001)
         resid = fiber.nu_k(sign, k, pt.theta, xi, n=2001) - pt.theta**2
-        assert abs(resid) <= 1e-6
+        assert abs(resid) <= 1e-9
+
+
+def _theta_by_bisection(sign, k, xi, n):
+    # reference: plain dichotomy of nu_k - alpha^2 over theta's own bracket
+    def f(alpha):
+        return fiber.nu_k(sign, k, alpha, xi, n) - alpha * alpha
+
+    lo, hi = 1e-8, math.sqrt(2.0 * k) + 1.0
+    while f(lo) <= 0.0 and lo < 0.3 * hi:
+        lo *= 10.0
+    if f(lo) <= 0.0:
+        return 0.0
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    return bisect(f, Bracket(lo, hi, f(lo), f(hi)), 1e-10)
+
+
+def test_theta_matches_bisection_oracle():
+    # plus k = 1 at xi = -2 runs the floor loop up to lo = 1e-3 (theta ~ 0.0096);
+    # (plus, 3, 8.0) needs one doubling of the upper end
+    n = 2001
+    for sign, k, xi in (("plus", 1, -2.0), ("plus", 2, 0.5), ("plus", 3, 8.0),
+                        ("minus", 1, 1.5), ("minus", 2, -1.0), ("minus", 3, 4.0)):
+        got = dispersion.theta(sign, k, xi, n).theta
+        assert got > 0.0
+        assert abs(got - _theta_by_bisection(sign, k, xi, n)) <= 2e-10
+
+
+def test_theta_eigensolve_counts(monkeypatch):
+    # safeguarded Newton with d nu_k / d alpha from the k-th eigenvector takes
+    # 6-8 solves a point (15-18 where the floor loop runs); bisecting the same
+    # brackets to 1e-10 took 276 here
+    calls = []
+    real = fiber.eig_sym_tridiag
+    monkeypatch.setattr(
+        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    fiber._values.cache_clear()
+    for sign, k, xi in (("plus", 1, -1.5), ("plus", 1, -1.0), ("plus", 2, 0.5),
+                        ("plus", 3, 2.0), ("minus", 1, 1.0), ("minus", 2, -1.0),
+                        ("minus", 3, 3.0)):
+        assert dispersion.theta(sign, k, xi, n=501).theta > 0.0
+    assert len(calls) <= 102  # 68 measured
 
 
 def test_theta_at_minimum(a0res):
@@ -20,7 +64,7 @@ def test_theta_at_minimum(a0res):
 
 def test_theta_limits():
     assert abs(dispersion.theta("minus", 1, 8.0).theta - math.sqrt(2)) <= 0.05
-    assert dispersion.theta("plus", 1, -8.0).theta <= 0.05
+    assert dispersion.theta("plus", 1, -8.0).theta == 0.0  # the resolution floor
 
 
 def test_theta_minus_single_minimum_plus_increasing():

@@ -89,6 +89,20 @@ def test_derivative_identities_single_point():
     assert abs(d_xi - pred) <= 1e-3 * abs(pred)
 
 
+def test_nu_k_and_dalpha_is_exact_discrete_derivative():
+    # d nu_k / d alpha = (2 / step) v_k[0]^2 must match a centred difference
+    # of the discrete eigenvalue itself, not only the continuum u(0)^2
+    n, alpha, step = 1001, 1.2, 1e-4
+    for sign in ("plus", "minus"):
+        for xi in (-0.5, 1.5):
+            for k in (1, 2, 3):
+                nu, dnu = fiber.nu_k_and_dalpha(sign, k, alpha, xi, n)
+                assert nu == pytest.approx(fiber.nu_k(sign, k, alpha, xi, n), abs=1e-11)
+                fd = (fiber.nu_k(sign, k, alpha + step, xi, n)
+                      - fiber.nu_k(sign, k, alpha - step, xi, n)) / (2 * step)
+                assert dnu == pytest.approx(fd, rel=1e-6)
+
+
 def test_critical_point_at_a0(a0res):
     spec = fiber.FiberSpec("minus", a0res.a0, a0res.a0)
     d_xi, _ = fiber.fiber_eig_derivatives(spec)

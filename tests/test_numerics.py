@@ -11,6 +11,7 @@ from diracbag.numerics import (
     bisect,
     eig_sym_tridiag,
     integrate,
+    newton,
     sturm_counts,
 )
 from scipy.linalg import eigh_tridiagonal
@@ -61,6 +62,20 @@ def test_eig_interlacing_under_refinement():
 def test_eig_k_out_of_range():
     with pytest.raises(ValueError):
         eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 3)
+    for lower in (0, 3):
+        with pytest.raises(ValueError):
+            eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 2, lower=lower)
+
+
+def test_eig_lower_index_selects_pairs():
+    rng = np.random.default_rng(3)
+    m = TridiagSym(rng.normal(size=60), rng.normal(size=59))
+    full, fvecs = eig_sym_tridiag(m, 6, vectors=True)
+    for lower in range(1, 7):
+        vals, vecs = eig_sym_tridiag(m, 6, vectors=True, lower=lower)
+        assert vals == pytest.approx(full[lower - 1:], abs=1e-12)
+        overlap = np.abs(np.sum(vecs * fvecs[:, lower - 1:], axis=0))
+        assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
 def _counts_below(d, e, shifts):
@@ -164,6 +179,31 @@ def test_bisect_bracket_independence():
     for lo, hi in ((0.0, 1.0), (0.5, 2.0), (0.69, 0.75)):
         roots.append(bisect(f, Bracket(lo, hi, f(lo), f(hi)), 1e-12))
     assert max(roots) - min(roots) < 1e-11
+
+
+def test_newton_converges_and_falls_back_to_the_midpoint():
+    def run(f, df, lo, hi):
+        evals = []
+
+        def fd(x):
+            evals.append(x)
+            return f(x), df(x)
+
+        root = newton(fd, Bracket(lo, hi, f(lo), f(hi)), 1e-12)
+        assert all(lo <= x <= hi for x in evals)
+        return root, len(evals)
+
+    root, n = run(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0)
+    assert root == pytest.approx(math.sqrt(2), abs=1e-14) and n <= 6
+    root, n = run(math.cos, lambda x: -math.sin(x), 1.0, 2.0)
+    assert root == pytest.approx(math.pi / 2, abs=1e-14) and n <= 6
+    # from hi = 10 the Newton step of arctan lands far outside the bracket
+    root, _ = run(lambda x: math.atan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2),
+                  -10.0, 10.0)
+    assert root == pytest.approx(0.3, abs=1e-12)
+    # a zero derivative leaves plain dichotomy, which still converges
+    root, n = run(lambda x: x - 0.7, lambda x: 0.0, 0.0, 1.0)
+    assert root == pytest.approx(0.7, abs=1e-12) and n >= 39
 
 
 def test_integrate_constant_linear():
