@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -140,9 +142,10 @@ def cmd_dispersion(args) -> int:
     columns: List[List[float]] = []
     if args.branch in ("nu-minus", "nu-plus"):
         sign = "minus" if args.branch == "nu-minus" else "plus"
+        nus = [fibermod.nu_values(sign, max(ks), args.alpha, x, args.n) for x in xi]
         for k in ks:
             header.append(f"nu_{sign}_{k}")
-            columns.append([fibermod.nu_k(sign, k, args.alpha, x, args.n) for x in xi])
+            columns.append([vals[k - 1] for vals in nus])
     elif args.branch == "theta":
         for sign in ("plus", "minus"):
             for k in ks:
@@ -241,27 +244,19 @@ def _disk_single_h(field_value, R, h, n, npos, nneg, zigzag, oracle):
 def cmd_disk(args) -> int:
     hs = _parse_float_list(args.h)
     out = _outdir(args)
-    workers = args.workers
-    jobs = [
-        (args.B, args.R, h, args.n, args.pos, args.neg, args.zigzag, args.oracle)
-        for h in hs
-    ]
-    results = []
-    errors = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_disk_single_h, *job) for job in jobs]
-            for h, fut in zip(hs, futs):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # row-level isolation
-                    errors.append((h, f"{type(exc).__name__}: {exc}"))
-    else:
-        for job in jobs:
+    jobs = [(args.B, args.R, h, args.n, args.pos, args.neg, args.zigzag, args.oracle)
+            for h in hs]
+    results, errors = [], []
+    with ProcessPoolExecutor(args.workers) if args.workers > 1 else nullcontext() as pool:
+        if pool:  # every h starts at once
+            calls = [pool.submit(_disk_single_h, *job).result for job in jobs]
+        else:
+            calls = [functools.partial(_disk_single_h, *job) for job in jobs]
+        for h, call in zip(hs, calls):
             try:
-                results.append(_disk_single_h(*job))
-            except Exception as exc:
-                errors.append((job[2], f"{type(exc).__name__}: {exc}"))
+                results.append(call())
+            except Exception as exc:  # row-level isolation
+                errors.append((h, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: -r["h"])
 
     a0res = dispmod.find_a0(args.n_a0)

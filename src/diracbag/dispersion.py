@@ -19,7 +19,8 @@ from typing import Tuple
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, integrate, newton
+from .numerics import Bracket, Grid1D, bisect, eig_sym_tridiag, integrate, newton
+from .numerics import solve_sym_tridiag
 
 __all__ = [
     "ThetaPoint",
@@ -88,56 +89,53 @@ class Momenta:
     M: np.ndarray
 
 
-def theta(
-    sign: str,
-    k: int,
-    xi: float,
-    n: int = fiber.DEFAULT_N,
-    tol: float = 1e-10,
-    max_expand: int = 60,
-) -> ThetaPoint:
+def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N, tol: float = 1e-10) -> ThetaPoint:
     """Dispersion-curve point: the unique alpha > 0 with nu_k(alpha, xi) = alpha^2.
 
-    The bracket starts at (eps, sqrt(2k) + 1) and the upper end doubles until
-    the defining function changes sign.  The root is then found by safeguarded
-    Newton from the upper end, with the exact derivative of the discrete
-    eigenvalue (the grid form of d nu_k / d alpha = u_k(0)^2, Hellmann-Feynman).
-    A root below the resolution floor is returned as theta = 0.0.
+    alpha enters the fiber matrix only as the rank-one term (2 alpha / step)
+    e_1 e_1^T on the alpha-free A_xi, so nu_k(alpha) is the root between the
+    eigenvalues lambda_k < lambda_{k+1} of A_xi of the secular equation
+    1 + (2 alpha / step) G(nu) = 0, G(s) = e_1^T (A_xi - s)^{-1} e_1 (Golub
+    1973).  So theta is the root of H(alpha) = step / (2 alpha) + G(alpha^2),
+    H' = -step / (2 alpha^2) + 2 alpha |x|^2 with x = (A_xi - alpha^2)^{-1} e_1,
+    and nu_k > alpha^2 exactly where alpha^2 <= lambda_k, or where alpha^2 is
+    in (lambda_k, lambda_{k+1}) and H < 0.  One two-value eigensolve gives the
+    interlacing bracket (sqrt(lambda_k), sqrt(lambda_{k+1})); if lambda_k <= 0
+    its lower end steps up by 10x from 1e-8 until nu_k > alpha^2, and a root
+    below that resolution floor is returned as theta = 0.0.  Safeguarded
+    Newton on H from the midpoint costs one O(n) tridiagonal solve per step
+    and never evaluates the bracket ends, which are poles of H.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    grid = fiber.default_grid(xi, n)
+    a_xi = fiber.half_line_matrix(sign, xi, grid)
+    lam_k, lam_next = (float(v) for v in eig_sym_tridiag(a_xi, k + 1, lower=k)[0])
+    e1 = np.eye(1, a_xi.n)[0]
+    half_step = 0.5 * grid.step
 
-    @functools.lru_cache(maxsize=None)  # the final upper end is also Newton's start
-    def fd(alpha: float) -> Tuple[float, float]:
-        nu, dnu = fiber.nu_k_and_dalpha(sign, k, alpha, xi, n)
-        return nu - alpha * alpha, dnu - 2.0 * alpha
+    def hd(alpha: float) -> Tuple[float, float]:
+        x = solve_sym_tridiag(a_xi, e1, alpha * alpha)
+        return half_step / alpha + x[0], -half_step / alpha**2 + 2.0 * alpha * (x @ x)
 
-    hi = math.sqrt(2.0 * k) + 1.0
-    # The lower end must clear the O(step^2) discretization floor of nu_k:
-    # near a zero mode the discrete nu can dip a few 1e-6 below zero, which
-    # would fake a sign change at alpha ~ 0.
-    lo = _ALPHA_EPS
-    f_lo = fd(lo)[0]
-    while f_lo <= 0.0 and lo < 0.3 * hi:
-        lo *= 10.0
-        f_lo = fd(lo)[0]
-    if f_lo <= 0.0:
-        # root below the resolution floor (the first plus curve deep in its
-        # flat tail); both sides of the defining relation vanish to tolerance
-        return ThetaPoint(sign=sign, k=k, xi=xi, theta=0.0)
-    f_hi = fd(hi)[0]
-    expansions = 0
-    while f_lo * f_hi >= 0.0:
-        expansions += 1
-        if expansions > max_expand:
-            raise RuntimeError(
-                f"no sign change for theta bracket after {max_expand} expansions "
-                f"(sign={sign}, k={k}, xi={xi})"
-            )
-        hi *= 2.0
-        f_hi = fd(hi)[0]
-    root = newton(fd, Bracket(lo, hi, f_lo, f_hi), tol)
-    return ThetaPoint(sign=sign, k=k, xi=xi, theta=root)
+    def nu_above(alpha: float) -> bool:  # nu_k(alpha) > alpha^2, given lambda_k < alpha^2
+        return alpha * alpha < lam_next and hd(alpha)[0] < 0.0
+
+    if lam_k > 0.0:
+        lo = math.sqrt(lam_k)
+    else:
+        # the lower end must clear the O(step^2) discretization floor of
+        # nu_k: near a zero mode the discrete nu can dip a few 1e-6 below
+        # zero, which would fake a sign change at alpha ~ 0
+        lo = _ALPHA_EPS
+        above = nu_above(lo)
+        while not above and lo < 0.3 * (math.sqrt(2.0 * k) + 1.0):
+            lo *= 10.0
+            above = nu_above(lo)
+        if not above:  # the first plus curve deep in its flat tail
+            return ThetaPoint(sign=sign, k=k, xi=xi, theta=0.0)
+    root = newton(hd, Bracket(lo, math.sqrt(lam_next), -math.inf, math.inf), tol)
+    return ThetaPoint(sign=sign, k=k, xi=xi, theta=float(root))
 
 
 def _truncation(alpha: float) -> float:

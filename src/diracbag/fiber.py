@@ -28,7 +28,8 @@ __all__ = [
     "whole_line_levels",
     "fiber_eigs",
     "fiber_eig_derivatives",
-    "nu_k_and_dalpha",
+    "half_line_matrix",
+    "nu_values",
 ]
 
 DEFAULT_N = 4001
@@ -112,22 +113,25 @@ def whole_line_levels(sign: str, k: int) -> float:
 def _potential(sign: str, xi: float, tau: np.ndarray) -> np.ndarray:
     if sign == "plus":
         return (tau + xi) ** 2 - 1.0
-    return (tau - xi) ** 2 + 1.0
+    if sign == "minus":
+        return (tau - xi) ** 2 + 1.0
+    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def _assemble_half_line(spec: FiberSpec) -> TridiagSym:
+def half_line_matrix(sign: str, xi: float, grid: Grid1D, alpha: float = 0.0) -> TridiagSym:
     """Robin at 0 via a ghost node folded into the first row; Dirichlet at x1.
 
     The folded matrix is nonsymmetric only in its first off-diagonal pair;
     the similarity diag(1/sqrt(2), 1, ...) restores symmetry, so only the
-    first off-diagonal entry changes to -sqrt(2)/step^2.
+    first off-diagonal entry changes to -sqrt(2)/step^2.  alpha enters only
+    the first diagonal entry, 2 (alpha - xi) / step: the default alpha = 0
+    gives the alpha-free matrix A_xi, and the fiber matrix is
+    A_xi + (2 alpha / step) e_1 e_1^T, a rank-one modification.
     """
-    g = spec.grid
-    h = g.step
-    tau = g.nodes()[:-1]  # Dirichlet: drop the last node
-    v = _potential(spec.sign, spec.xi, tau)
-    diag = 2.0 / h**2 + v
-    diag[0] += 2.0 * (spec.alpha - spec.xi) / h
+    h = grid.step
+    tau = grid.nodes()[:-1]  # Dirichlet: drop the last node
+    diag = 2.0 / h**2 + _potential(sign, xi, tau)
+    diag[0] += 2.0 * (alpha - xi) / h
     off = np.full(tau.size - 1, -1.0 / h**2)
     off[0] = -np.sqrt(2.0) / h**2
     return TridiagSym(diag, off)
@@ -152,7 +156,7 @@ def _solve(spec: FiberSpec, k: int) -> FiberEigen:
         funcs = np.zeros((g.n, k))
         funcs[1:-1, :] = vecs
     else:
-        mat = _assemble_half_line(spec)
+        mat = half_line_matrix(spec.sign, spec.xi, g, spec.alpha)
         vals, vecs = eig_sym_tridiag(mat, k, vectors=True)
         funcs = np.zeros((g.n, k))
         funcs[:-1, :] = vecs
@@ -199,44 +203,29 @@ def fiber_eigs(spec: FiberSpec, k: int = 1, check_tol: Optional[float] = None) -
 def _values(sign: str, alpha: float, xi: float, n: int, x1: float, k: int) -> Tuple[float, ...]:
     """Values-only half-line solve, cached for parameter scans."""
     spec = FiberSpec(sign, alpha, xi, grid=Grid1D(0.0, x1, n))
-    mat = _assemble_half_line(spec)
-    vals, _ = eig_sym_tridiag(mat, k)
+    vals, _ = eig_sym_tridiag(half_line_matrix(sign, xi, spec.grid, alpha), k)
     return tuple(float(v) for v in vals)
 
 
-def nu_k(
-    sign: str,
-    k: int,
-    alpha: float,
-    xi: float,
-    n: int = DEFAULT_N,
-    x1: Optional[float] = None,
-) -> float:
-    """k-th eigenvalue nu_k^{sign}(alpha, xi) of the half-line fiber.
+def nu_values(
+    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N, x1: Optional[float] = None
+) -> Tuple[float, ...]:
+    """The k lowest eigenvalues nu_1..k^{sign}(alpha, xi) of the half-line
+    fiber, from one solve.
 
     ``x1`` overrides the truncation; scans over xi should fix it so the grid
     step does not drift with the parameter.
     """
     if x1 is None:
         x1 = max(MIN_LENGTH, abs(xi) + TAIL_PAD)
-    return _values(sign, alpha, xi, n, x1, k)[k - 1]
+    return _values(sign, alpha, xi, n, x1, k)
 
 
-def nu_k_and_dalpha(
-    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N
-) -> Tuple[float, float]:
-    """(nu_k^{sign}(alpha, xi), d nu_k / d alpha) from the k-th eigenpair alone.
-
-    alpha enters the symmetrized matrix only through its first diagonal entry,
-    2 (alpha - xi) / step, so by Hellmann-Feynman the exact derivative of the
-    discrete eigenvalue is (2 / step) v_k[0]^2 for the unit-Euclidean
-    eigenvector v_k.  (The quadrature-normalized u(0)^2 differs from it by
-    O(step^2).)  The value agrees with ``nu_k`` (default truncation) to
-    rounding, not bit for bit.
-    """
-    spec = FiberSpec(sign, alpha, xi, grid=default_grid(xi, n))
-    vals, vecs = eig_sym_tridiag(_assemble_half_line(spec), k, vectors=True, lower=k)
-    return float(vals[0]), 2.0 / spec.grid.step * float(vecs[0, 0]) ** 2
+def nu_k(
+    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N, x1: Optional[float] = None
+) -> float:
+    """k-th eigenvalue nu_k^{sign}(alpha, xi) of the half-line fiber."""
+    return nu_values(sign, k, alpha, xi, n, x1)[k - 1]
 
 
 def nu1(

@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves and Sturm counts, bracketed bisection and
-safeguarded Newton, and composite quadrature.  Everything here is a pure
-function of its inputs; callers may fan out over parameter grids freely.
+Symmetric tridiagonal eigensolves, linear solves and Sturm counts, bracketed
+bisection and safeguarded Newton, and composite quadrature.  Everything here
+is a pure function of its inputs; callers may fan out over parameter grids
+freely.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "EigenConvergenceError",
     "BracketError",
     "eig_sym_tridiag",
+    "solve_sym_tridiag",
     "sturm_counts",
     "bisect",
     "newton",
@@ -153,6 +155,21 @@ def eig_sym_tridiag(
     return vals, vecs
 
 
+def solve_sym_tridiag(m: TridiagSym, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Solution x of (m - shift I) x = rhs in O(n), for n >= 2 and a vector
+    ``rhs`` or one right-hand side per column.  Gaussian elimination with
+    partial pivoting (LAPACK gtsv), so m - shift I may be indefinite; an
+    exactly zero pivot (a singular system) raises LinAlgError.
+    """
+    b = np.asarray(rhs, dtype=float)
+    *_, x, info = scipy.linalg.lapack.dgtsv(
+        m.offdiag, m.diag - shift, m.offdiag, b.reshape(m.n, -1)
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot in row {info}")
+    return x.reshape(b.shape)
+
+
 def sturm_counts(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
     """Negative eigenvalue counts of a stack of symmetric tridiagonals.
 
@@ -196,14 +213,15 @@ def newton(
 ) -> float:
     """Root of f on a sign-changing bracket by safeguarded Newton (rtsafe).
 
-    ``fd(x)`` returns (f(x), f'(x)).  Iteration starts at ``b.hi``; every
-    evaluation shrinks the bracket to the side that keeps the sign change, and
-    a step that would leave it (or a zero derivative) is replaced by the
-    midpoint.  Stops when the step or the bracket is at most ``tol``, or the
-    step is lost to rounding.
+    ``fd(x)`` returns (f(x), f'(x)).  Iteration starts at the midpoint and
+    never evaluates the bracket ends, so they may be poles (give ``b.f_lo``
+    and ``b.f_hi`` as signed infinities); every evaluation shrinks the bracket
+    to the side that keeps the sign change, and a step that would leave it
+    (or a zero derivative) is replaced by the midpoint.  Stops when the step
+    or the bracket is at most ``tol``, or the step is lost to rounding.
     """
     lo, hi = b.lo, b.hi
-    x = hi
+    x = 0.5 * (lo + hi)
     while True:
         f, df = fd(x)
         if f == 0.0:

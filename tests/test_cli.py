@@ -80,7 +80,7 @@ def test_dispersion_theta_floor_is_reported(tmp_path, capsys):
     meta, header, rows = read_csv(out / "dispersion_theta.csv")
     assert rows[0][:2] == ["-8", "0"]
     assert meta["sha256"] == (
-        "80f9f06241abad8cca97599e6a8d2359e186e08050870d0a74a69c417db5706b")
+        "ede94637915ee46f167ec89bd59ba70f1b0704fc9900f8b99902e56164e7bd96")
 
 
 def test_a0_command(tmp_path):
@@ -243,15 +243,27 @@ def test_compare_alias(tmp_path):
     assert (out / "disk_report.csv").exists()
 
 
+def test_disk_process_pool_matches_serial(tmp_path):
+    # per-h tasks are pure, so a process pool writes the same payloads
+    digests = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run(["disk", "--h", "0.2,0.1", "--n", "501", "--n-a0", "1001",
+                    "--workers", workers, "--out", str(out)]) == 0
+        digests.append([read_csv(out / name)[0]["sha256"]
+                        for name in ("disk_spectrum.csv", "disk_report.csv")])
+    assert digests[0] == digests[1]
+
+
 GOLDEN = {
     "dispersion_nu-minus.csv": (
         ["dispersion", "--branch", "nu-minus", "--alpha", "2", "--k", "1..2",
          "--xi", "0:2:1", "--n", "501"],
-        "c796d210137e460962715e701c1f81929cf67586b4249fbf9b8d4a067de8da5f"),
+        "ce790bd8bd8bf595818fce9003e011cd6aab76ed59055bdb0ced8c2ca8a96961"),
     "dispersion_theta.csv": (
         ["dispersion", "--branch", "theta", "--k", "1..1", "--xi", "1:2:0.5",
          "--n", "501"],
-        "77566aa847c5a04926397b3b53c7d86792e5abc1a0ae30ee74c0f14408a60512"),
+        "48bc65bfa049e458f5c09e8edd33e319a18599eb6a6444337ddbad21d87285a0"),
     "momenta.csv": (
         ["momenta", "--alpha", "1.3132547", "--xi", "1.3132547", "--n", "1001"],
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),

@@ -41,20 +41,45 @@ def test_theta_matches_bisection_oracle():
 
 
 def test_theta_eigensolve_counts(monkeypatch):
-    # safeguarded Newton with d nu_k / d alpha from the k-th eigenvector takes
-    # 6-8 solves a point (15-18 where the floor loop runs); bisecting the same
-    # brackets to 1e-10 took 276 here
-    calls = []
-    real = fiber.eig_sym_tridiag
+    # one two-value eigensolve of A_xi per point gives the interlacing
+    # bracket; Newton on the secular equation then costs one O(n) tridiagonal
+    # solve per step (5-8 a point, 13-15 where the floor loop runs).  The
+    # eigenpair Newton it replaced took 68 eigensolves here, bisection 276.
+    eigs, solves = [], []
+    real_eig, real_solve = dispersion.eig_sym_tridiag, dispersion.solve_sym_tridiag
     monkeypatch.setattr(
-        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        dispersion, "eig_sym_tridiag", lambda *a, **kw: eigs.append(1) or real_eig(*a, **kw)
     )
-    fiber._values.cache_clear()
-    for sign, k, xi in (("plus", 1, -1.5), ("plus", 1, -1.0), ("plus", 2, 0.5),
-                        ("plus", 3, 2.0), ("minus", 1, 1.0), ("minus", 2, -1.0),
-                        ("minus", 3, 3.0)):
+    monkeypatch.setattr(
+        dispersion, "solve_sym_tridiag",
+        lambda *a, **kw: solves.append(1) or real_solve(*a, **kw),
+    )
+    monkeypatch.setattr(fiber, "eig_sym_tridiag", None)  # no fiber solve on this path
+    points = (("plus", 1, -1.5), ("plus", 1, -1.0), ("plus", 2, 0.5), ("plus", 3, 2.0),
+              ("minus", 1, 1.0), ("minus", 2, -1.0), ("minus", 3, 3.0))
+    for sign, k, xi in points:
         assert dispersion.theta(sign, k, xi, n=501).theta > 0.0
-    assert len(calls) <= 102  # 68 measured
+    assert len(eigs) == len(points)
+    assert len(solves) <= 94  # 63 measured
+
+
+def test_theta_lies_in_the_interlacing_bracket():
+    # theta^2 = nu_k(theta) lies strictly between the k-th and (k+1)-th
+    # eigenvalues of the alpha-free matrix A_xi (rank-one interlacing)
+    n = 501
+    for sign, k, xi in (("plus", 1, -1.0), ("plus", 2, 0.5), ("plus", 1, 2.0),
+                        ("minus", 1, 1.0), ("minus", 2, -1.0), ("minus", 3, 3.0)):
+        a_xi = fiber.half_line_matrix(sign, xi, fiber.default_grid(xi, n))
+        lam = np.linalg.eigvalsh(np.diag(a_xi.diag) + np.diag(a_xi.offdiag, 1)
+                                 + np.diag(a_xi.offdiag, -1))
+        th = dispersion.theta(sign, k, xi, n).theta
+        assert lam[k - 1] < th * th < lam[k]
+
+
+def test_theta_is_a_python_float():
+    # callers serialise theta and compare it with 0.0 as plain data
+    assert type(dispersion.theta("minus", 1, 1.0, n=501).theta) is float
+    assert type(dispersion.theta("plus", 1, -8.0, n=501).theta) is float
 
 
 def test_theta_at_minimum(a0res):

@@ -89,18 +89,24 @@ def test_derivative_identities_single_point():
     assert abs(d_xi - pred) <= 1e-3 * abs(pred)
 
 
-def test_nu_k_and_dalpha_is_exact_discrete_derivative():
-    # d nu_k / d alpha = (2 / step) v_k[0]^2 must match a centred difference
-    # of the discrete eigenvalue itself, not only the continuum u(0)^2
-    n, alpha, step = 1001, 1.2, 1e-4
+def test_half_line_matrix_is_rank_one_in_alpha():
+    # alpha enters only as (2 alpha / step) e_1 e_1^T on the alpha-free A_xi
+    g = fiber.default_grid(1.5, 1001)
     for sign in ("plus", "minus"):
-        for xi in (-0.5, 1.5):
-            for k in (1, 2, 3):
-                nu, dnu = fiber.nu_k_and_dalpha(sign, k, alpha, xi, n)
-                assert nu == pytest.approx(fiber.nu_k(sign, k, alpha, xi, n), abs=1e-11)
-                fd = (fiber.nu_k(sign, k, alpha + step, xi, n)
-                      - fiber.nu_k(sign, k, alpha - step, xi, n)) / (2 * step)
-                assert dnu == pytest.approx(fd, rel=1e-6)
+        a_xi = fiber.half_line_matrix(sign, 1.5, g)
+        m = fiber.half_line_matrix(sign, 1.5, g, alpha=0.7)
+        assert np.array_equal(m.offdiag, a_xi.offdiag)
+        assert np.array_equal(m.diag[1:], a_xi.diag[1:])
+        assert m.diag[0] - a_xi.diag[0] == pytest.approx(2 * 0.7 / g.step, rel=1e-12)
+    with pytest.raises(ValueError):
+        fiber.half_line_matrix("sideways", 1.5, g)
+
+
+def test_nu_values_are_the_lowest_nu_k():
+    vals = fiber.nu_values("minus", 3, 2.0, 0.5, 1001)
+    assert len(vals) == 3 and list(vals) == sorted(vals)
+    for k in (1, 2, 3):
+        assert vals[k - 1] == pytest.approx(fiber.nu_k("minus", k, 2.0, 0.5, 1001), abs=1e-11)
 
 
 def test_critical_point_at_a0(a0res):

@@ -12,6 +12,7 @@ from diracbag.numerics import (
     eig_sym_tridiag,
     integrate,
     newton,
+    solve_sym_tridiag,
     sturm_counts,
 )
 from scipy.linalg import eigh_tridiagonal
@@ -197,13 +198,51 @@ def test_newton_converges_and_falls_back_to_the_midpoint():
     assert root == pytest.approx(math.sqrt(2), abs=1e-14) and n <= 6
     root, n = run(math.cos, lambda x: -math.sin(x), 1.0, 2.0)
     assert root == pytest.approx(math.pi / 2, abs=1e-14) and n <= 6
-    # from hi = 10 the Newton step of arctan lands far outside the bracket
+    # from the midpoint 9 the Newton step of arctan lands far outside the bracket
     root, _ = run(lambda x: math.atan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2),
-                  -10.0, 10.0)
+                  -2.0, 20.0)
     assert root == pytest.approx(0.3, abs=1e-12)
     # a zero derivative leaves plain dichotomy, which still converges
     root, n = run(lambda x: x - 0.7, lambda x: 0.0, 0.0, 1.0)
     assert root == pytest.approx(0.7, abs=1e-12) and n >= 39
+
+
+def test_newton_between_two_poles():
+    # f = 1/(1 - x) - 2/x runs from -inf to +inf on (0, 1): the ends are poles
+    # (ZeroDivisionError there), given to the bracket as signed infinities
+    evals = []
+
+    def fd(x):
+        evals.append(x)
+        return 1.0 / (1.0 - x) - 2.0 / x, 1.0 / (1.0 - x) ** 2 + 2.0 / x**2
+
+    root = newton(fd, Bracket(0.0, 1.0, -math.inf, math.inf), 1e-12)
+    assert root == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert all(0.0 < x < 1.0 for x in evals) and len(evals) <= 8
+
+
+def test_solve_sym_tridiag_matches_dense_solve():
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 60):
+        d = rng.normal(size=n)  # indefinite: diagonal entries of both signs
+        e = rng.normal(size=n - 1)
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        shift = rng.normal()
+        b = rng.normal(size=n)
+        x = solve_sym_tridiag(TridiagSym(d, e), b, shift)
+        assert x.shape == (n,)
+        assert np.allclose(x, np.linalg.solve(dense - shift * np.eye(n), b), rtol=1e-9, atol=1e-12)
+        rhs = rng.normal(size=(n, 3))
+        x = solve_sym_tridiag(TridiagSym(d, e), rhs)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9, atol=1e-12)
+
+
+def test_solve_sym_tridiag_singular_raises():
+    # [[1, -1], [-1, 1]] = [[2, -1], [-1, 2]] - 1: exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_sym_tridiag(TridiagSym(np.array([2.0, 2.0]), np.array([-1.0])), np.ones(2), 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_sym_tridiag(TridiagSym(np.zeros(3), np.zeros(2)), np.ones(3))
 
 
 def test_integrate_constant_linear():
