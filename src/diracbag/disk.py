@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import Grid1D, TridiagSym, eig_sym_tridiag, integrate, sturm_counts
+from .numerics import Grid1D, TridiagSym, count_below, eig_sym_tridiag, integrate
 
 __all__ = [
     "RadialField",
@@ -52,6 +52,12 @@ __all__ = [
 
 _GAUGE_N = 16385  # nodes of the internal [0, R] gauge grid
 POSITIVE_H_MIN = 0.02  # below this the positive eigenvalues underflow the weights
+
+_SIGN_GUARD = 64.0 * np.finfo(float).eps
+"""Half-width of ell_k's rounding band per unit of ||T||_1 (T: Q_lambda in the L2
+norm).  stebz at scipy's default tolerance places eigenvalues within eps * ||T||_1
+plus its Sturm counts' backward error, a few eps * ||T||_1, which ``count_below``
+shares; so counts at lambda^2 -+ _SIGN_GUARD * ||T||_1 decide the eigensolve's sign."""
 
 
 class ModeRangeError(RuntimeError):
@@ -206,6 +212,7 @@ class _ModeOperator:
     """
 
     def __init__(self, spec: DiskSpec, m: int, field_sign: str, orientation: int = 1):
+        self.m, self.field_sign = m, field_sign
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
         n = spec.rgrid.n
@@ -226,20 +233,13 @@ class _ModeOperator:
         a = 0.5 * w - h / delta
         b = 0.5 * w + h / delta
 
-        if m < 0:
-            # node j0 is the ghost zero; unknowns start at node j0 + 1
-            mass = mass[j0 + 1 :]
-            kd = np.zeros(mass.size)
-            kd[0] += c[0] * b[0] * b[0]
-            kd[:-1] += c[1:] * a[1:] * a[1:]
-            kd[1:] += c[1:] * b[1:] * b[1:]
-            ko = c[1:] * a[1:] * b[1:]
-        else:
-            mass = mass[j0:]
-            kd = np.zeros(mass.size)
-            kd[:-1] += c * a * a
-            kd[1:] += c * b * b
-            ko = c * a * b
+        mass = mass[j0:]
+        kd = np.zeros(mass.size)
+        kd[:-1] += c * a * a
+        kd[1:] += c * b * b
+        ko = c * a * b
+        if m < 0:  # node j0 is the ghost zero; unknowns start at node j0 + 1
+            kd, ko, mass = kd[1:], ko[1:], mass[1:]
 
         self.h = h
         self.R = spec.field.R
@@ -247,14 +247,30 @@ class _ModeOperator:
         self.mass = mass
         sqrt_mass = np.sqrt(mass)
         self.off = ko / (sqrt_mass[:-1] * sqrt_mass[1:])
+        self.reach = np.abs(np.r_[0.0, self.off]) + np.abs(np.r_[self.off, 0.0])  # for ||T||_1
 
-    def ell(self, lam: float, k: int) -> np.ndarray:
-        """First k eigenvalues of the form Q_lambda relative to the L2 norm."""
+    def matrix(self, lam: float) -> TridiagSym:
+        """Q_lambda relative to the L2 norm (without the -lambda^2 shift)."""
         diag = self.kd.copy()
         diag[-1] += self.h * lam * self.R
         diag /= self.mass
-        vals, _ = eig_sym_tridiag(TridiagSym(diag, self.off), k)
+        return TridiagSym(diag, self.off)
+
+    def ell(self, lam: float, k: int) -> np.ndarray:
+        """First k eigenvalues of the form Q_lambda relative to the L2 norm."""
+        vals, _ = eig_sym_tridiag(self.matrix(lam), k)
         return vals - lam * lam
+
+    def ell_sign(self, lam: float, k: int) -> float:
+        """-1.0 or +1.0 where two Sturm counts certify the sign of ell_k(lambda)
+        (see ``_SIGN_GUARD``), else the eigensolved ell_k(lambda) itself."""
+        t = self.matrix(lam)
+        band = _SIGN_GUARD * np.max(np.abs(t.diag) + self.reach)
+        if count_below(t, lam * lam - band) >= k:
+            return -1.0
+        if count_below(t, lam * lam + band) < k:
+            return 1.0
+        return self.ell(lam, k)[k - 1]
 
 
 def mode_ell(
@@ -276,27 +292,31 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float)
 
     ell_k is positive below its unique zero and negative above it (the
     discrete form satisfies the same second-order structure in lambda as the
-    continuum one), so plain sign bisection applies.
+    continuum one), so plain sign bisection applies.  ``op.ell_sign`` decides
+    signs by Sturm counts outside the eigensolver's rounding band (stebz's
+    bound, ``_SIGN_GUARD``) and eigensolves inside it: the root is bit for bit
+    that of eigensolving every step.
     """
-    f_lo = op.ell(lo, k)[k - 1]
-    f_hi = op.ell(hi, k)[k - 1]
+    where = f"mode m={op.m}, {op.field_sign} branch, k={k}, last lambda"
+    f_lo = op.ell_sign(lo, k)
+    f_hi = op.ell_sign(hi, k)
     grow = 0
     while f_lo <= 0.0:
         lo *= 0.25
-        f_lo = op.ell(lo, k)[k - 1]
+        f_lo = op.ell_sign(lo, k)
         grow += 1
         if grow > 60:
-            raise RuntimeError("no positive lower bracket for ell_k")
+            raise RuntimeError(f"no positive lower bracket for ell_k ({where}={lo:.6g})")
     grow = 0
     while f_hi >= 0.0:
         hi *= 2.0
-        f_hi = op.ell(hi, k)[k - 1]
+        f_hi = op.ell_sign(hi, k)
         grow += 1
         if grow > 60:
-            raise RuntimeError("no negative upper bracket for ell_k")
+            raise RuntimeError(f"no negative upper bracket for ell_k ({where}={hi:.6g})")
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        f_mid = op.ell(mid, k)[k - 1]
+        f_mid = op.ell_sign(mid, k)
         if f_mid == 0.0:
             return mid
         if f_mid > 0.0:
@@ -361,19 +381,19 @@ def mode_E(
     return _bisect_ell(op, k, lo, hi, rel_tol)
 
 
-def _screen(n_below: Callable[[float], int], count: int, lo: float, hi: float, steps: int) -> float:
-    """A point x with n_below(x) >= count: hi doubles until it holds ``count``
-    roots, then ``steps`` bisections (geometric while lo > 0) lower it."""
+def _screen(counts: Callable[[float], List[int]], count: int, lo: float, hi: float, steps: int) -> List[int]:
+    """Per-mode root counts at x (1 + 1e-3), x holding ``count`` roots in all:
+    hi doubles until it does, then ``steps`` bisections (geometric while lo > 0) lower it."""
     for _ in range(60):
-        if n_below(hi) >= count:
+        if sum(counts(hi)) >= count:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError(f"fewer than {count} roots below {hi:.6g}")
     for _ in range(steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        lo, hi = (lo, mid) if n_below(mid) >= count else (mid, hi)
-    return hi
+        lo, hi = (lo, mid) if sum(counts(mid)) >= count else (mid, hi)
+    return counts(hi * (1.0 + 1e-3))
 
 
 def _merge_modes(
@@ -381,40 +401,28 @@ def _merge_modes(
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """The ``count`` smallest roots E_k^{(m)} over the mode window.
 
-    ell_k(lambda) < 0 exactly when Q_lambda - lambda^2 M has at least k
-    negative eigenvalues, so one Sturm count of the stacked modes gives each
-    mode's number of roots below lambda.  Every (m, k) counted at
-    lambda-bar (1 + 1e-3), lambda-bar holding ``count`` roots, is bisected as
-    in ``mode_E``.  The 1e-3 margin is far wider than the ~1e-6 relative gap
-    between count and eigensolve roots near the positive-branch noise floor
-    (lambda ~ e^{-10} at h = 0.05): it costs a few extra bisections at most
-    and can never drop a selected root.
+    ell_k(lambda) < 0 exactly when Q_lambda has at least k eigenvalues below
+    lambda^2, so one Sturm count (``count_below``) per mode gives that mode's
+    number of roots below lambda.  Every (m, k) that ``_screen`` counts is
+    bisected as in ``mode_E``.  Count and eigensolve err by a few eps * ||T||_1
+    in ell_k, which moved roots by up to 2.4e-4 relative (plus-branch ground
+    root, h = 0.05, n = 2001) and under 1e-7 for m >= 2: the screen's 1e-3
+    margin costs a few bisections at most and can never drop a selected root.
     """
     m_lo, m_hi = spec.m_range
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
     # also enforces the positive-branch h floor
     lo, hi = _bracket_for(spec, m_lo, field_sign, 2, orientation)
-    modes = range(m_lo, m_hi + 1)
-    ops = [_ModeOperator(spec, m, field_sign, orientation) for m in modes]
-    width = max(op.kd.size for op in ops)
-    diag = np.full((len(ops), width), np.inf)
-    off_sq = np.zeros((len(ops), width - 1))
-    for row, op in enumerate(ops):
-        diag[row, width - op.kd.size :] = op.kd / op.mass
-        off_sq[row, width - op.kd.size :] = op.off**2
-    edge = spec.h * spec.field.R / ops[0].mass[-1]  # every mode ends at r = R
+    ops = [_ModeOperator(spec, m, field_sign, orientation) for m in range(m_lo, m_hi + 1)]
 
-    def counts(lam: float) -> np.ndarray:
-        shifted = diag - lam * lam
-        shifted[:, -1] += lam * edge
-        return sturm_counts(shifted, off_sq)
+    def counts(lam: float) -> List[int]:
+        return [count_below(op.matrix(lam), lam * lam) for op in ops]
 
-    lam_bar = _screen(lambda lam: int(counts(lam).sum()), count, lo, hi, 8)
     entries: List[Tuple[float, int, int]] = []
-    for m, op, below in zip(modes, ops, counts(lam_bar * (1.0 + 1e-3))):
+    for op, below in zip(ops, _screen(counts, count, lo, hi, 8)):
         for k in range(1, below + 1):
-            lo, hi = _bracket_for(spec, m, field_sign, k, orientation)
-            entries.append((_bisect_ell(op, k, lo, hi, 1e-9), m, k))
+            lo, hi = _bracket_for(spec, op.m, field_sign, k, orientation)
+            entries.append((_bisect_ell(op, k, lo, hi, 1e-9), op.m, k))
     entries.sort()
     selected = entries[:count]
 
@@ -495,20 +503,18 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     dphi = spec.gauge.dphi_at(nodes)
     v = [(h * m / nodes - dphi) ** 2 + sgn * h * bvals
          for m in range(spec.m_range[0], spec.m_range[1] + 1)]
-    diags = kd / mass[:-1] + np.array(v)[:, :-1]
+    mats = [TridiagSym(diag, off) for diag in kd / mass[:-1] + np.array(v)[:, :-1]]
 
     # only modes with a value below a threshold holding ``count`` values can
-    # contribute (margin as in _merge_modes); a Sturm sweep costs about three
-    # eigensolves, so the threshold is doubled but not bisected
-    def below(x: float) -> np.ndarray:
-        return sturm_counts(diags - x, off**2)
+    # contribute; the threshold is doubled but not bisected
+    def below(x: float) -> List[int]:
+        return [count_below(t, x) for t in mats]
 
-    top = _screen(lambda x: int(below(x).sum()), count, 0.0, h * float(np.max(bvals)), 0)
     per_mode_k = min(count + 1, n - 2)
     allvals: List[float] = []
-    for diag, held in zip(diags, below(top * (1.0 + 1e-3))):
+    for t, held in zip(mats, _screen(below, count, 0.0, h * float(np.max(bvals)), 0)):
         if held:
-            vals, _ = eig_sym_tridiag(TridiagSym(diag, off), per_mode_k)
+            vals, _ = eig_sym_tridiag(t, per_mode_k)
             allvals.extend(float(x) for x in vals)
     allvals.sort()
     return np.array(allvals[:count])

@@ -286,11 +286,18 @@ GOLDEN = {
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
         "4a602352ae86f11081ee1b29f0015a9c5f2a716b58bc7dc6ea28b5c6b9b52ed1"),
+    # check writes no file; its PASS/FAIL lines on stdout are the payload
+    "check.stdout": (
+        ["check"],
+        "5cc99e5a6c71e994d7fcb6d3aec25e01882de127f813698b25ee510a71cdfd57"),
+    "check_full.stdout": (
+        ["check", "--full"],
+        "1eccdce864814d899bdf73dab6212517c89da8f38a716370a58c8665e2419e8a"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_payload_sha256_golden(tmp_path, monkeypatch, name):
+def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     # payload hashes are independent of the header, the output path and the
     # process; a change here means the printed numbers moved
     argv, digest = GOLDEN[name]
@@ -299,7 +306,9 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, name):
     np.savetxt("kappa.csv", 1.0 + 0.2 * np.cos(s), delimiter=",")
     assert run(argv + ["--out", "out"]) == 0
     path = tmp_path / "out" / name.replace("_kappa", "")
-    if name.endswith(".json"):
+    if name.endswith(".stdout"):
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    elif name.endswith(".json"):
         got = json.loads(path.read_text())["sha256"]
     else:
         got = read_csv(path)[0]["sha256"]

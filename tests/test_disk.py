@@ -140,20 +140,76 @@ def test_dirac_spectrum_matches_brute_force(unit_field, orientation):
 
 def test_disk_eigensolve_counts(unit_field, monkeypatch):
     # counts, not timings, so the gate cannot flake; bisecting two roots in
-    # every mode and deepening took 4306 solves for the spectrum, and the
-    # zigzag solved every one of the 31 modes per branch
-    calls = []
-    real = disk.eig_sym_tridiag
+    # every mode and deepening took 4306 solves for the spectrum, an
+    # eigensolve at every bisection step 338, and the zigzag solved every one
+    # of the 31 modes per branch
+    calls, counts = [], []
+    real, real_count = disk.eig_sym_tridiag, disk.count_below
     monkeypatch.setattr(
         disk, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    monkeypatch.setattr(
+        disk, "count_below", lambda *a: counts.append(1) or real_count(*a)
     )
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     disk.dirac_spectrum(spec, 5)
     spectrum_calls = len(calls)
+    assert spectrum_calls <= 52  # 35 measured
+    assert len(counts) <= 1764  # 1176 measured
     disk.zigzag_spectrum(spec, "plus", 3)
     disk.zigzag_spectrum(spec, "minus", 3)
-    assert spectrum_calls <= 507  # 338 measured
     assert len(calls) - spectrum_calls <= 13  # 9 measured
+
+
+def _spectrum_hex(sp):
+    return ([v.hex() for v in sp.pos.tolist()], sp.pos_provenance,
+            [v.hex() for v in sp.neg.tolist()], sp.neg_provenance)
+
+
+def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
+    # the Sturm counts decide a bisection sign only outside the eigensolver's
+    # rounding band; with every guard ambiguous (a NaN count passes neither
+    # test) each sign is eigensolved, and the roots must not move by a bit.
+    # Count and eigensolve roots part most at the plus-branch ground roots:
+    # about 5e-8 relative at h = 0.1 and 2.4e-4 at h = 0.05.
+    spec01 = disk.DiskSpec.make(unit_field, 0.1, n=2001)
+    spec02 = disk.DiskSpec.make(unit_field, 0.2, n=501)
+    spec005 = disk.DiskSpec.make(unit_field, 0.05, n=2001)
+
+    def roots():
+        return (_spectrum_hex(disk.dirac_spectrum(spec01, 5)),
+                _spectrum_hex(disk.dirac_spectrum(spec02, 5, orientation=-1)),
+                disk.mode_E(spec005, 0, "plus", 1).hex())
+
+    certified = roots()
+    signs, solves, in_sign = [], [], []
+    real_count, real_sign, real_eig = (
+        disk.count_below, disk._ModeOperator.ell_sign, disk.eig_sym_tridiag)
+
+    def forced_sign(op, lam, k):
+        signs.append(1)
+        in_sign.append(1)
+        try:
+            return real_sign(op, lam, k)
+        finally:
+            in_sign.pop()
+
+    monkeypatch.setattr(disk._ModeOperator, "ell_sign", forced_sign)
+    monkeypatch.setattr(  # the mode screens keep their real counts
+        disk, "count_below", lambda m, x: math.nan if in_sign else real_count(m, x))
+    monkeypatch.setattr(
+        disk, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
+    assert roots() == certified
+    assert len(solves) == len(signs)
+
+
+def test_bisect_errors_name_the_mode(unit_field, monkeypatch):
+    spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
+    for sign, side in ((1.0, "negative upper"), (-1.0, "positive lower")):
+        monkeypatch.setattr(disk._ModeOperator, "ell_sign", lambda op, lam, k, s=sign: s)
+        with pytest.raises(RuntimeError, match=rf"no {side} bracket for ell_k "
+                           r"\(mode m=-2, minus branch, k=3, last lambda=\d"):
+            disk.mode_E(spec, -2, "minus", 3)
 
 
 def test_zigzag_bounds_and_pauli_shift(unit_field):

@@ -9,11 +9,11 @@ from diracbag.numerics import (
     Grid1D,
     TridiagSym,
     bisect,
+    count_below,
     eig_sym_tridiag,
     integrate,
     newton,
     solve_sym_tridiag,
-    sturm_counts,
 )
 from scipy.linalg import eigh_tridiagonal
 
@@ -92,19 +92,17 @@ def _clear_shifts(vals, rng, size, gap):
     return cand[far][:size]
 
 
-def test_sturm_counts_random_stack_matches_eigensolve():
+def test_count_below_random_matches_eigensolve():
     rng = np.random.default_rng(5)
-    n, stack = 60, 12
-    d = rng.normal(size=(stack, n))
-    e = rng.normal(size=(stack, n - 1))
-    for shift in (-3.0, -0.5, 0.0, 0.7, 2.5):
-        got = sturm_counts(d - shift, e**2)
-        assert got.shape == (stack,)
-        for j in range(stack):
-            assert got[j] == _counts_below(d[j], e[j], [shift])[0][0]
+    n = 60
+    for _ in range(12):
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        shifts = [-3.0, -0.5, 0.0, 0.7, 2.5]
+        expected, _ = _counts_below(d, e, shifts)
+        assert [count_below(TridiagSym(d, e), s) for s in shifts] == expected
 
 
-def test_sturm_counts_graded_matches_eigensolve():
+def test_count_below_graded_matches_eigensolve():
     # entries spanning sixteen orders of magnitude, shifts kept clear of the
     # eigenvalues by more than the eigensolver's absolute accuracy
     rng = np.random.default_rng(9)
@@ -114,45 +112,31 @@ def test_sturm_counts_graded_matches_eigensolve():
     vals = eigh_tridiagonal(d, e, eigvals_only=True)
     shifts = _clear_shifts(vals, rng, 40, 1e-9)
     assert shifts.size >= 20
-    got = sturm_counts(d[None, :] - shifts[:, None], np.tile(e**2, (shifts.size, 1)))
-    assert got.tolist() == _counts_below(d, e, shifts)[0]
+    got = [count_below(TridiagSym(d, e), s) for s in shifts]
+    assert got == _counts_below(d, e, shifts)[0]
 
 
-def test_sturm_counts_front_padding():
-    # a shorter matrix padded with an infinite diagonal and zero coupling
-    # keeps its own count inside a stack of longer ones
+def test_count_below_orders_one_and_two():
+    one = TridiagSym(np.array([2.0]), np.zeros(0))
+    assert [count_below(one, x) for x in (1.0, 2.0, 3.0)] == [0, 1, 1]
+    two = TridiagSym(np.array([0.0, 0.0]), np.array([1.0]))  # eigenvalues -1, 1
+    assert [count_below(two, x) for x in (-1.5, -0.5, 0.5, 1.5)] == [0, 1, 1, 2]
+
+
+def test_count_below_outside_the_gershgorin_interval():
     rng = np.random.default_rng(13)
-    d, e = rng.normal(size=7), rng.normal(size=6)
-    dl, el = rng.normal(size=10), rng.normal(size=9)
-    diag = np.vstack([np.concatenate([np.full(3, np.inf), d]), dl])
-    off_sq = np.vstack([np.concatenate([np.zeros(3), e**2]), el**2])
-    for shift in (-1.0, 0.0, 0.4, 1.5):
-        got = sturm_counts(diag - shift, off_sq)
-        assert got[0] == sturm_counts(d - shift, e**2)
-        assert got[0] == _counts_below(d, e, [shift])[0][0]
-        assert got[1] == _counts_below(dl, el, [shift])[0][0]
+    d, e = rng.normal(size=30), rng.normal(size=29)
+    reach = np.abs(d) + np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]])
+    m = TridiagSym(d, e)
+    assert count_below(m, -reach.max() - 1.0) == 0
+    assert count_below(m, reach.max() + 1.0) == 30
 
 
-def test_sturm_counts_one_by_one():
-    assert sturm_counts(np.array([2.0]), np.zeros(0)) == 0
-    assert sturm_counts(np.array([-2.0]), np.zeros(0)) == 1
-    assert sturm_counts(np.array([[3.0], [-1.0]]), np.zeros((2, 0))).tolist() == [0, 1]
-
-
-def test_sturm_counts_zero_pivot():
-    # shifts exactly at diagonal entries; at the leading one the first pivot
-    # is zero, read as +0 or -0, and the count must not depend on its sign
-    d = np.array([1.0, 2.0, 3.0, 4.0])
-    e = np.array([1.0, 1.0, 1.0])
-    vals = eigh_tridiagonal(d, e, eigvals_only=True)
-    for shift in d:
-        assert np.min(np.abs(vals - shift)) > 1e-3  # not an eigenvalue
-        expected = int(np.sum(vals < shift))
-        assert sturm_counts(d - shift, e**2) == expected
-        assert sturm_counts(np.where(d == shift, -0.0, d - shift), e**2) == expected
-    # a zero pivot on a zero coupling is 0/0 and must not be read silently
-    with pytest.raises(FloatingPointError):
-        sturm_counts(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
+def test_count_below_counts_an_exact_eigenvalue():
+    # a diagonal matrix has its diagonal as exact eigenvalues, and an
+    # eigenvalue equal to x is counted
+    m = TridiagSym(np.array([3.0, 1.0, 2.0, 2.0]), np.zeros(3))
+    assert [count_below(m, x) for x in (0.5, 1.0, 1.5, 2.0, 3.0)] == [0, 1, 1, 3, 4]
 
 
 def test_bisect_sqrt2():
