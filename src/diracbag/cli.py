@@ -16,16 +16,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
+import dataclasses
 import hashlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,8 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
-
-WORKERS_ENV = "DIRACBAG_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -93,9 +88,9 @@ def _parse_field(text: str, R: float) -> diskmod.RadialField:
 
 
 def _config_dict(args: argparse.Namespace) -> Dict[str, str]:
-    # out/workers do not influence the computed payload; leaving them out
-    # keeps reruns byte-identical regardless of where they write
-    skip = {"func", "config", "out", "workers"}
+    # out does not influence the computed payload; leaving it out keeps
+    # reruns byte-identical regardless of where they write
+    skip = {"func", "config", "out"}
     return {
         k: _fmt(v)
         for k, v in sorted(vars(args).items())
@@ -209,27 +204,26 @@ def cmd_momenta(args) -> int:
 # ----------------------------------------------------------------------- disk
 
 
-def _disk_single_h(field_value, R, h, n, npos, nneg, zigzag, oracle):
-    """One h of the disk sweep (run in a worker when workers > 1)."""
-    field = _parse_field(field_value, R)
-    spec = diskmod.DiskSpec.make(field, h, n=n)
-    count = max(npos, nneg)
+def _disk_single_h(args, field: diskmod.RadialField, h: float):
+    """One h of the disk sweep."""
+    spec = diskmod.DiskSpec.make(field, h, n=args.n)
+    count = max(args.pos, args.neg)
     sp = diskmod.dirac_spectrum(spec, count)
-    nus = diskmod.hardy_nu_k(spec, npos)
+    nus = diskmod.hardy_nu_k(spec, args.pos)
     result = {
         "h": h,
-        "pos": sp.pos[:npos],
-        "neg": sp.neg[:nneg],
-        "pos_prov": sp.pos_provenance[:npos],
-        "neg_prov": sp.neg_provenance[:nneg],
+        "pos": sp.pos[:args.pos],
+        "neg": sp.neg[:args.neg],
+        "pos_prov": sp.pos_provenance[:args.pos],
+        "neg_prov": sp.neg_provenance[:args.neg],
         "hardy": nus,
         "phi_min": spec.gauge.phi_min,
     }
-    if zigzag:
+    if args.zigzag:
         result["zigzag_plus"] = diskmod.zigzag_spectrum(spec, "plus", 3)
         result["zigzag_minus"] = diskmod.zigzag_spectrum(spec, "minus", 3)
         result["b0"] = float(np.min(field.samples(spec.rgrid.nodes())))
-    if oracle:
+    if args.oracle:
         m, k = sp.neg_provenance[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -243,25 +237,27 @@ def _disk_single_h(field_value, R, h, n, npos, nneg, zigzag, oracle):
 
 def cmd_disk(args) -> int:
     hs = _parse_float_list(args.h)
+    if not hs:
+        raise ConfigError("--h needs at least one value")
+    if args.pos < 1 or args.neg < 1:
+        raise ConfigError(f"--pos and --neg must be >= 1, got {args.pos} and {args.neg}")
+    field = _parse_field(args.B, args.R)
+    b0 = float(field.B)  # _parse_field only builds constant fields
+    if not b0 > 0:
+        raise ConfigError(f"--B must be positive, got {_fmt(b0)}")
     out = _outdir(args)
-    jobs = [(args.B, args.R, h, args.n, args.pos, args.neg, args.zigzag, args.oracle)
-            for h in hs]
     results, errors = [], []
-    with ProcessPoolExecutor(args.workers) if args.workers > 1 else nullcontext() as pool:
-        if pool:  # every h starts at once
-            calls = [pool.submit(_disk_single_h, *job).result for job in jobs]
-        else:
-            calls = [functools.partial(_disk_single_h, *job) for job in jobs]
-        for h, call in zip(hs, calls):
-            try:
-                results.append(call())
-            except Exception as exc:  # row-level isolation
-                errors.append((h, f"{type(exc).__name__}: {exc}"))
+    for h in hs:
+        try:
+            results.append(_disk_single_h(args, field, h))
+        except Exception as exc:  # row-level isolation
+            errors.append((h, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: -r["h"])
 
     a0res = dispmod.find_a0(args.n_a0)
-    field = _parse_field(args.B, args.R)
-    const_field = not callable(field.B)
+    w = ckmod.BargmannWeight.isotropic(b0)
+    curve = ckmod.BoundaryCurve.circle(args.R)
+    cks = [ckmod.ck_constant(k, w, curve) for k in range(1, args.pos + 1)]
 
     spec_rows = []
     report_rows = []
@@ -273,30 +269,25 @@ def cmd_disk(args) -> int:
             spec_rows.append([h, "neg", i + 1, val, prov[0], prov[1]])
 
         # leading negative order: a0 sqrt(b0' h)
-        if const_field:
-            b0 = float(field.B)
-            lead = a0res.a0 * math.sqrt(b0 * h)
-            report_rows.append(
-                [h, 1, "lambda_minus_leading", r["neg"][0], lead,
-                 r["neg"][0] - lead, abs(r["neg"][0] - lead) / lead]
+        lead = a0res.a0 * math.sqrt(b0 * h)
+        report_rows.append(
+            [h, 1, "lambda_minus_leading", r["neg"][0], lead,
+             r["neg"][0] - lead, abs(r["neg"][0] - lead) / lead]
+        )
+        # fine structure vs effective operator; a constant field b0 maps
+        # to the unit-field problem at h/b0 with energies scaled by b0
+        es = effmod.EffSpec.disk(args.R, h / b0, a0res.a0)
+        eff = effmod.qeff_disk(es.t_h, args.R, len(r["neg"]))
+        for i in range(len(r["neg"])):
+            pred = b0 * effmod.lambda_minus_prediction(
+                i + 1, h / b0, a0res, eff
             )
-            # fine structure vs effective operator; a constant field b0 maps
-            # to the unit-field problem at h/b0 with energies scaled by b0
-            es = effmod.EffSpec.disk(args.R, h / b0, a0res.a0)
-            eff = effmod.qeff_disk(es.t_h, args.R, len(r["neg"]))
-            for i in range(len(r["neg"])):
-                pred = b0 * effmod.lambda_minus_prediction(
-                    i + 1, h / b0, a0res, eff
-                )
-                report_rows.append(
-                    [h, i + 1, "lambda_minus_fine", r["neg"][i], pred,
-                     r["neg"][i] - pred, abs(r["neg"][i] - pred) / pred]
-                )
+            report_rows.append(
+                [h, i + 1, "lambda_minus_fine", r["neg"][i], pred,
+                 r["neg"][i] - pred, abs(r["neg"][i] - pred) / pred]
+            )
         # positive eigenvalues vs C_k and the Hardy bound
-        w = ckmod.BargmannWeight.isotropic(2.0 * diskmod.radial_phi(field).hess)
-        curve = ckmod.BoundaryCurve.circle(args.R)
-        for i in range(len(r["pos"])):
-            ck = ckmod.ck_constant(i + 1, w, curve)
+        for i, ck in enumerate(cks):
             pred = ckmod.lambda_plus_prediction(ck, r["phi_min"], h)
             report_rows.append(
                 [h, i + 1, "lambda_plus_Ck", r["pos"][i], pred,
@@ -370,32 +361,27 @@ def cmd_effective(args) -> int:
         L = args.L if args.L else 2 * math.pi * args.R
         area = args.area if args.area else math.pi * args.R**2
         spec = effmod.EffSpec(
-            L=L, area=area, h=args.h, a0=a0res.a0,
+            L=L,
             t_h=effmod.flux_th(area, L, args.h, a0res.a0),
             kappa=samples, cutoff=max(64, 4 * args.count + 16),
         )
         eff = effmod.qeff_general(spec, args.count)
-        shifted = effmod.EffSpec(
-            L=L, area=area, h=args.h, a0=a0res.a0,
-            t_h=spec.t_h + 2 * math.pi / L, kappa=samples, cutoff=spec.cutoff,
-        )
+        shifted = dataclasses.replace(spec, t_h=spec.t_h + 2 * math.pi / L)
         gauge_err = float(np.max(np.abs(
             effmod.qeff_general(shifted, args.count).values - eff.values)))
         rows = [[n + 1, eff.values[n], ""] for n in range(args.count)]
         rows.append(["gauge_periodicity_error", gauge_err, ""])
-        header = ["n", "lambda_n", "m_n"]
     else:
         spec = effmod.EffSpec.disk(args.R, args.h, a0res.a0)
         eff = effmod.qeff_disk(spec.t_h, args.R, args.count)
         rows = [
             [n + 1, eff.values[n], eff.m_sequence[n]] for n in range(args.count)
         ]
-        header = ["n", "lambda_n", "m_n"]
         rows.append(["t_h", spec.t_h, ""])
         rows.append(["prediction_lambda1", effmod.lambda_minus_prediction(
             1, args.h, a0res, eff), ""])
     name = out / "effective.csv"
-    _write_csv(name, _config_dict(args), header, rows)
+    _write_csv(name, _config_dict(args), ["n", "lambda_n", "m_n"], rows)
     print(f"wrote {name}")
     return EXIT_OK
 
@@ -445,8 +431,6 @@ def cmd_check(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--config", default=None, help="key=value config file with sections")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(WORKERS_ENV, "1")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,19 +463,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_momenta)
 
-    for cname in ("disk", "compare"):
-        p = sub.add_parser(cname, help="direct disk spectra and comparison report")
-        p.add_argument("--B", default="const:1")
-        p.add_argument("--R", type=float, default=1.0)
-        p.add_argument("--h", default="0.2,0.1")
-        p.add_argument("--neg", type=int, default=4)
-        p.add_argument("--pos", type=int, default=2)
-        p.add_argument("--n", type=int, default=2001)
-        p.add_argument("--n-a0", type=int, default=fibermod.DEFAULT_N, dest="n_a0")
-        p.add_argument("--zigzag", action="store_true")
-        p.add_argument("--oracle", action="store_true")
-        _add_common(p)
-        p.set_defaults(func=cmd_disk)
+    p = sub.add_parser("disk", help="direct disk spectra and comparison report")
+    p.add_argument("--B", default="const:1")
+    p.add_argument("--R", type=float, default=1.0)
+    p.add_argument("--h", default="0.2,0.1")
+    p.add_argument("--neg", type=int, default=4)
+    p.add_argument("--pos", type=int, default=2)
+    p.add_argument("--n", type=int, default=2001)
+    p.add_argument("--n-a0", type=int, default=fibermod.DEFAULT_N, dest="n_a0")
+    p.add_argument("--zigzag", action="store_true")
+    p.add_argument("--oracle", action="store_true")
+    _add_common(p)
+    p.set_defaults(func=cmd_disk)
 
     p = sub.add_parser("constants", help="Hardy/Bargmann distances and C_k")
     p.add_argument("--B", type=float, default=1.0)
@@ -588,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (fibermod.GridRefinementError, diskmod.ModeRangeError,

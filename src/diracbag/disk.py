@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse
@@ -326,18 +326,18 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float)
     return 0.5 * (lo + hi)
 
 
-def _hardy_ratio(spec: DiskSpec, m: int, orientation: int = 1) -> float:
-    """Boundary-to-bulk quotient h R^{2m+1} / int r^{2m+1} e^{-2 phi / h} dr
-    of the weighted holomorphic mode (m >= 0); an upper bound for E_1^{(m)}
-    on the plus branch."""
-    gauge = spec.gauge
+def _hardy_ratios(spec: DiskSpec, ms: Sequence[int], orientation: int = 1) -> np.ndarray:
+    """Boundary-to-bulk quotients h R^{2m+1} / int r^{2m+1} e^{-2 phi / h} dr
+    of the weighted holomorphic modes r^m e^{-phi/h}, one per m >= 0 in ``ms``;
+    each bounds E_1^{(m)} on the plus branch from above."""
     R = spec.field.R
     fine = Grid1D(0.0, R, 8193)
     r = fine.nodes()
-    logw = -2.0 * orientation * gauge.phi_at(r) / spec.h
+    logw = -2.0 * orientation * spec.gauge.phi_at(r) / spec.h
     scale = float(np.max(logw))  # keep the weight <= 1
-    j = integrate((r / R) ** (2 * m + 1) * np.exp(logw - scale), fine)
-    return spec.h * math.exp(-scale) / j
+    weight = np.exp(logw - scale)
+    return np.array([spec.h * math.exp(-scale) / integrate((r / R) ** (2 * m + 1) * weight, fine)
+                     for m in ms])
 
 
 def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int, orientation: int) -> Tuple[float, float]:
@@ -358,7 +358,7 @@ def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int, orientation: i
         )
     hi = 2.0 * math.sqrt(2.0 * h)
     if k == 1 and m >= 0:
-        ratio = _hardy_ratio(spec, m, orientation)
+        ratio = float(_hardy_ratios(spec, [m], orientation)[0])
         if ratio < 0.5 * math.sqrt(h):
             return 0.25 * ratio, hi
         return 1e-9, max(hi, 2.0 * ratio)
@@ -458,22 +458,11 @@ def hardy_nu_k(spec: DiskSpec, kmax: int) -> np.ndarray:
 
         r_n = h R^{2n+1} / int_0^R r^{2n+1} e^{-2 phi(r)/h} dr ;
 
-    the integrand is scaled by e^{2 phi_min / h} so it never overflows.
+    the weight is scaled by its maximum so it never overflows.
     """
     if kmax < 1:
         raise ValueError(f"need kmax >= 1, got {kmax}")
-    R = spec.field.R
-    h = spec.h
-    gauge = spec.gauge
-    fine = Grid1D(0.0, R, 8193)
-    r = fine.nodes()
-    expw = np.exp(-2.0 * (gauge.phi_at(r) - gauge.phi_min) / h)
-    ratios = []
-    for n_ang in range(kmax + 8):
-        j = integrate((r / R) ** (2 * n_ang + 1) * expw, fine)
-        ratios.append(h * math.exp(2.0 * gauge.phi_min / h) / j)
-    ratios.sort()
-    return np.array(ratios[:kmax])
+    return np.sort(_hardy_ratios(spec, range(kmax + 8)))[:kmax]
 
 
 def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:

@@ -48,9 +48,6 @@ class EffSpec:
     """
 
     L: float
-    area: float
-    h: float
-    a0: float
     t_h: float
     kappa: Union[float, Callable[[np.ndarray], np.ndarray], np.ndarray]
     cutoff: int = 64
@@ -61,9 +58,6 @@ class EffSpec:
         area = math.pi * R * R
         return cls(
             L=L,
-            area=area,
-            h=h,
-            a0=a0,
             t_h=flux_th(area, L, h, a0),
             kappa=1.0 / R,
             cutoff=cutoff,
@@ -128,11 +122,12 @@ def _kappa_coefficients(spec: EffSpec, n_modes: int, samples: int = 4096) -> np.
     return c
 
 
-def qeff_general(spec: EffSpec, count: int, check: bool = True) -> EffSpectrum:
+def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """Fourier-Galerkin spectrum of (D_s + t_h)^2 - kappa^2 / 12.
 
     Momentum modes 2 pi m / L are exactly diagonal; only kappa^2/12 couples
-    them, through its Toeplitz matrix of Fourier coefficients.
+    them, through its Toeplitz matrix of Fourier coefficients.  The values
+    are checked against a solve at cutoff + 8.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -153,14 +148,13 @@ def qeff_general(spec: EffSpec, count: int, check: bool = True) -> EffSpectrum:
         return vals[:count]
 
     vals = solve(spec.cutoff)
-    if check:
-        ref = solve(spec.cutoff + 8)
-        err = float(np.max(np.abs(vals - ref)))
-        if err > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
-            raise CutoffError(
-                f"eigenvalues changed by {err:.3e} under cutoff refinement; "
-                f"increase cutoff beyond {spec.cutoff}"
-            )
+    ref = solve(spec.cutoff + 8)
+    err = float(np.max(np.abs(vals - ref)))
+    if err > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
+        raise CutoffError(
+            f"eigenvalues changed by {err:.3e} under cutoff refinement; "
+            f"increase cutoff beyond {spec.cutoff}"
+        )
     return EffSpectrum(values=vals, m_sequence=None)
 
 

@@ -112,16 +112,14 @@ def eig_sym_tridiag(
     m: TridiagSym,
     k: int,
     vectors: bool = False,
-    weights: Optional[np.ndarray] = None,
     lower: int = 1,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Eigenvalues lower..k (ascending, 1-based) of a symmetric tridiagonal
     matrix; the default ``lower = 1`` gives the k smallest.
 
     Values are computed by Sturm-sequence bisection and, when requested,
-    eigenvectors by inverse iteration (LAPACK stebz/stein via scipy).
-    With ``weights`` given, eigenvectors are normalized so that
-    sum(weights * v**2) == 1; otherwise they keep unit Euclidean norm.
+    eigenvectors by inverse iteration (LAPACK stebz/stein via scipy), with
+    unit Euclidean norm.
 
     Returns (values, vectors_or_None); vectors are columns.
     """
@@ -148,10 +146,6 @@ def eig_sym_tridiag(
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigenConvergenceError(m.n, str(exc)) from exc
     vals = np.asarray(vals, dtype=float)
-    if vecs is not None and weights is not None:
-        w = np.asarray(weights, dtype=float)
-        norms = np.sqrt(np.einsum("i,ij->j", w, vecs**2))
-        vecs = vecs / norms
     return vals, vecs
 
 
@@ -237,7 +231,6 @@ def newton(
 def integrate(
     samples: Sequence[float],
     grid: Grid1D,
-    weight: Optional[Sequence[float]] = None,
 ) -> float:
     """Composite quadrature of samples on a uniform grid.
 
@@ -248,11 +241,6 @@ def integrate(
     y = np.asarray(samples, dtype=float)
     if y.shape != (grid.n,):
         raise ValueError(f"samples length {y.shape} != grid n {grid.n}")
-    if weight is not None:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weight length mismatch")
-        y = y * w
     h = grid.step
     if grid.n % 2 == 1:
         coeff = np.ones(grid.n)

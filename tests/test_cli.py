@@ -161,7 +161,8 @@ def test_config_boolean_flag(tmp_path):
 
 @pytest.mark.parametrize("body", ["[momenta]\nbogus = 1\n",
                                   "[dispersion]\nbranch = nu-middle\n",
-                                  "[disk]\nzigzag = maybe\n"])
+                                  "[disk]\nzigzag = maybe\n",
+                                  "[disk]\nworkers = 2\n"])
 def test_config_bad_entry_is_config_error(tmp_path, body):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(body)
@@ -235,26 +236,6 @@ def test_disk_error_row_names_exception_type(tmp_path):
     assert rows[0][6].startswith("ValueError: h=0.01 below the supported range")
 
 
-def test_compare_alias(tmp_path):
-    out = tmp_path / "cmp"
-    assert run(["compare", "--B", "const:1", "--R", "1", "--h", "0.25",
-                "--neg", "1", "--pos", "1", "--n", "401", "--n-a0", "1001",
-                "--out", str(out)]) == 0
-    assert (out / "disk_report.csv").exists()
-
-
-def test_disk_process_pool_matches_serial(tmp_path):
-    # per-h tasks are pure, so a process pool writes the same payloads
-    digests = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert run(["disk", "--h", "0.2,0.1", "--n", "501", "--n-a0", "1001",
-                    "--workers", workers, "--out", str(out)]) == 0
-        digests.append([read_csv(out / name)[0]["sha256"]
-                        for name in ("disk_spectrum.csv", "disk_report.csv")])
-    assert digests[0] == digests[1]
-
-
 GOLDEN = {
     "dispersion_nu-minus.csv": (
         ["dispersion", "--branch", "nu-minus", "--alpha", "2", "--k", "1..2",
@@ -313,6 +294,39 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     else:
         got = read_csv(path)[0]["sha256"]
     assert got == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--k", "4..1"],
+    ["dispersion", "--k", "0"],
+    ["dispersion", "--k", "x"],
+    ["dispersion", "--n", "2"],
+    ["momenta", "--alpha", "-1", "--xi", "1"],
+    ["constants", "--k", "0"],
+    ["constants", "--k", "20"],
+    ["effective", "--count", "0", "--n-a0", "1001"],
+    ["effective", "--h", "-1", "--n-a0", "1001"],
+    ["a0", "--n", "2"],
+    ["disk", "--R", "0"],
+    ["disk", "--B", "0"],
+    ["disk", "--neg", "0"],
+    ["disk", "--pos", "0"],
+    ["disk", "--h", ","],
+], ids=" ".join)
+def test_bad_input_is_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_readme_usage_lines_parse():
+    # every command line shown in the README must still be accepted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln.split("#")[0].split()[1:] for ln in readme.splitlines()
+             if ln.startswith("diracbag ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(cli._glue_negative_sweeps(argv))
 
 
 def test_bad_sweep_is_config_error(tmp_path):

@@ -80,8 +80,7 @@ def test_qeff_general_variable_kappa_against_fd():
     def kappa(s):
         return 1.0 + 0.3 * np.cos(2 * np.pi * s / L) + 0.1 * np.sin(4 * np.pi * s / L)
 
-    spec = effective.EffSpec(L=L, area=math.pi, h=0.1, a0=1.31, t_h=t_h,
-                             kappa=kappa, cutoff=48)
+    spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa, cutoff=48)
     got = effective.qeff_general(spec, 4)
 
     n = 8192

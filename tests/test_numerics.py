@@ -36,15 +36,14 @@ def test_eig_exchange_matrix():
     assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
 
 
-def test_eig_sorted_and_weighted_normalization():
+def test_eig_sorted_and_unit_normalization():
     rng = np.random.default_rng(7)
     d = rng.normal(size=40)
     e = rng.normal(size=39)
-    w = rng.uniform(0.5, 2.0, size=40)
-    vals, vecs = eig_sym_tridiag(TridiagSym(d, e), 5, vectors=True, weights=w)
+    vals, vecs = eig_sym_tridiag(TridiagSym(d, e), 5, vectors=True)
     assert np.all(np.diff(vals) >= -1e-14)
     for j in range(5):
-        assert np.sum(w * vecs[:, j] ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(vecs[:, j] ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_interlacing_under_refinement():
@@ -244,7 +243,7 @@ def test_integrate_gaussian():
     assert val == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-8)
 
 
-def test_integrate_linearity_and_weight():
+def test_integrate_linearity():
     g = Grid1D(0.0, 1.0, 51)
     rng = np.random.default_rng(3)
     a = rng.normal(size=51)
@@ -252,16 +251,12 @@ def test_integrate_linearity_and_weight():
     lhs = integrate(2.0 * a + 3.0 * b, g)
     rhs = 2.0 * integrate(a, g) + 3.0 * integrate(b, g)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    w = rng.uniform(0.1, 1.0, size=51)
-    assert integrate(a, g, weight=w) == pytest.approx(integrate(a * w, g), abs=1e-12)
 
 
 def test_integrate_length_mismatch():
     g = Grid1D(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         integrate(np.ones(10), g)
-    with pytest.raises(ValueError):
-        integrate(np.ones(11), g, weight=np.ones(5))
 
 
 def test_grid_invariants():
