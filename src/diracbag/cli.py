@@ -24,7 +24,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +82,10 @@ def _parse_field(text: str, R: float) -> diskmod.RadialField:
     if text.startswith("const:"):
         return diskmod.RadialField(float(text.split(":", 1)[1]), R)
     try:
-        return diskmod.RadialField(float(text), R)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"unsupported field spec {text!r} (use const:<value>)")
+    return diskmod.RadialField(value, R)
 
 
 def _config_dict(args: argparse.Namespace) -> Dict[str, str]:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import Grid1D, TridiagSym, count_below, eig_sym_tridiag, integrate
+from .numerics import Grid1D, TridiagSym, certified_sign, count_below, eig_sym_tridiag, integrate
 
 __all__ = [
     "RadialField",
@@ -52,12 +52,6 @@ __all__ = [
 
 _GAUGE_N = 16385  # nodes of the internal [0, R] gauge grid
 POSITIVE_H_MIN = 0.02  # below this the positive eigenvalues underflow the weights
-
-_SIGN_GUARD = 64.0 * np.finfo(float).eps
-"""Half-width of ell_k's rounding band per unit of ||T||_1 (T: Q_lambda in the L2
-norm).  stebz at scipy's default tolerance places eigenvalues within eps * ||T||_1
-plus its Sturm counts' backward error, a few eps * ||T||_1, which ``count_below``
-shares; so counts at lambda^2 -+ _SIGN_GUARD * ||T||_1 decide the eigensolve's sign."""
 
 
 class ModeRangeError(RuntimeError):
@@ -247,7 +241,6 @@ class _ModeOperator:
         self.mass = mass
         sqrt_mass = np.sqrt(mass)
         self.off = ko / (sqrt_mass[:-1] * sqrt_mass[1:])
-        self.reach = np.abs(np.r_[0.0, self.off]) + np.abs(np.r_[self.off, 0.0])  # for ||T||_1
 
     def matrix(self, lam: float) -> TridiagSym:
         """Q_lambda relative to the L2 norm (without the -lambda^2 shift)."""
@@ -262,15 +255,8 @@ class _ModeOperator:
         return vals - lam * lam
 
     def ell_sign(self, lam: float, k: int) -> float:
-        """-1.0 or +1.0 where two Sturm counts certify the sign of ell_k(lambda)
-        (see ``_SIGN_GUARD``), else the eigensolved ell_k(lambda) itself."""
-        t = self.matrix(lam)
-        band = _SIGN_GUARD * np.max(np.abs(t.diag) + self.reach)
-        if count_below(t, lam * lam - band) >= k:
-            return -1.0
-        if count_below(t, lam * lam + band) < k:
-            return 1.0
-        return self.ell(lam, k)[k - 1]
+        """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
+        return certified_sign(self.matrix(lam), lam * lam, k, lambda: self.ell(lam, k)[k - 1])
 
 
 def mode_ell(
@@ -294,8 +280,8 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float)
     discrete form satisfies the same second-order structure in lambda as the
     continuum one), so plain sign bisection applies.  ``op.ell_sign`` decides
     signs by Sturm counts outside the eigensolver's rounding band (stebz's
-    bound, ``_SIGN_GUARD``) and eigensolves inside it: the root is bit for bit
-    that of eigensolving every step.
+    bound, ``numerics.certified_sign``) and eigensolves inside it: the root is
+    bit for bit that of eigensolving every step.
     """
     where = f"mode m={op.m}, {op.field_sign} branch, k={k}, last lambda"
     f_lo = op.ell_sign(lo, k)

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, eig_sym_tridiag, integrate, newton
+from .numerics import Bracket, Grid1D, bisect, certified_sign, eig_sym_tridiag, integrate, newton
 from .numerics import solve_sym_tridiag
 
 __all__ = [
@@ -154,16 +154,20 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
     xi_alpha is the first sign change of g(xi) = nu_1^- + alpha^2 - 2 alpha xi
     (later ones sit at a local maximum or in the flat tail).  g is stepped
     from xi = -2 up to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or
-    the end of the truncation, and the first sign-changing cell is bisected.
+    the end of the truncation, and the first sign-changing cell is bisected
+    on signs of g certified by Sturm counts (``numerics.certified_sign``).
     At small alpha g dips only ~alpha / 3 below zero; below the grid's error
     (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x1 = _truncation(alpha)
+    grid = Grid1D(0.0, x1, n)
 
     def g(xi: float) -> float:
-        return fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2.0 * alpha * xi
+        t = fiber.half_line_matrix("minus", xi, grid, alpha)
+        return certified_sign(t, 2.0 * alpha * xi - alpha * alpha, 1, lambda: (
+            fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2.0 * alpha * xi))
 
     xi_max = min((2.0 + alpha * alpha) / (2.0 * alpha), x1 - fiber.TAIL_PAD)
     lo, g_lo = -2.0, g(-2.0)
@@ -178,9 +182,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
         hi += _XI_SCAN_STEP
         g_hi = g(hi)
     xi_a = bisect(g, Bracket(lo, hi, g_lo, g_hi))
-    eig = fiber.fiber_eigs(
-        fiber.FiberSpec("minus", alpha, xi_a, grid=Grid1D(0.0, x1, n))
-    )
+    eig = fiber.fiber_eigs(fiber.FiberSpec("minus", alpha, xi_a, grid=grid))
     return float(eig.values[0]), xi_a, eig.u0**2
 
 
@@ -204,8 +206,8 @@ def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
 def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
     """The unique positive solution of nu(alpha) = alpha^2, with derived data.
 
-    a0 = c_gamma(1), the root of nu_1^-(a, a) = a^2.  Returns it together with
-    u^2(0) at (a0, a0), the second xi-derivative of nu_1^- there (centered
+    a0 = c_gamma(1), the root of nu_1^-(a, a) = a^2 on certified signs, comes
+    with u^2(0) at (a0, a0), the second xi-derivative of nu_1^- there (centered
     differences) and the coupling constant c0 = a0 u^2(0) / (2 a0 - u^2(0)).
     """
     a0 = c_gamma(1.0, n, tol)
@@ -306,24 +308,25 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
     """Gap constant for a constant boundary coefficient gamma.
 
     With the boundary term weighted by gamma, the half-plane energy becomes
-    nu(c * gamma); the constant is the unique positive root of
-    nu(c gamma) = c^2; gamma = 1 recovers a0.  At that root the relation
-    xi = (nu + alpha^2) / (2 alpha) puts the minimizer at
-    xi_c = c (1 + gamma^2) / (2 gamma), so c is a root of
-    f(c) = nu_1^-(c gamma, xi_c) - c^2, with no inner minimization.
+    nu(c * gamma); the constant is the unique positive root of nu(c gamma)
+    = c^2 (gamma = 1 recovers a0).  There xi = (nu + alpha^2) / (2 alpha)
+    puts the minimizer at xi_c = c (1 + gamma^2) / (2 gamma), so c is a root
+    of f(c) = nu_1^-(c gamma, xi_c) - c^2, with no inner minimization.
     f >= nu(c gamma) - c^2 > 0 below c, but f turns positive again where
     xi_c meets a local maximum of nu_1^- (near c = 0.75 at gamma = 0.1), so
     c is the *first* sign change: c steps so that xi_c advances by the xi
-    step of nu_of_alpha, then that cell is bisected.  Where f never dips
-    below zero (see nu_of_alpha) RuntimeError is raised, not a tail root.
+    step of nu_of_alpha, then that cell is bisected, on certified signs as
+    there.  Where f never dips below zero (see nu_of_alpha) RuntimeError is
+    raised, not a tail root.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     slope = (1.0 + gamma * gamma) / (2.0 * gamma)
 
     def f(c: float) -> float:
-        alpha = c * gamma
-        return fiber.nu1("minus", alpha, c * slope, n, _truncation(alpha)) - c * c
+        alpha, x1 = c * gamma, _truncation(c * gamma)
+        t = fiber.half_line_matrix("minus", c * slope, Grid1D(0.0, x1, n), alpha)
+        return certified_sign(t, c * c, 1, lambda: fiber.nu1("minus", alpha, c * slope, n, x1) - c * c)
 
     step = _XI_SCAN_STEP / slope
     c_max = math.sqrt(2.0) + 0.2  # nu < 2 puts the root below sqrt(2)

@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, linear solves and Sturm counts, bracketed
-bisection and safeguarded Newton, and composite quadrature.  Everything here
-is a pure function of its inputs; callers may fan out over parameter grids
-freely.
+Symmetric tridiagonal eigensolves, linear solves, Sturm counts and the signs
+they certify, bracketed bisection and safeguarded Newton, and composite
+quadrature.  Everything here is a pure function of its inputs; callers may
+fan out over parameter grids freely.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "eig_sym_tridiag",
     "solve_sym_tridiag",
     "count_below",
+    "certified_sign",
     "bisect",
     "newton",
     "integrate",
@@ -31,6 +32,11 @@ __all__ = [
 
 # Default root tolerance; discretization error dominates far above it.
 ROOT_TOL = 1e-10
+
+_SIGN_GUARD = 64.0 * np.finfo(float).eps
+"""Rounding band per unit of ||T||_1: stebz (scipy's default tolerance) places
+eigenvalues within eps * ||T||_1 plus its Sturm counts' backward error, a few
+eps * ||T||_1, which ``count_below`` shares; counts outside it decide the sign."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -176,6 +182,21 @@ def count_below(m: TridiagSym, x: float) -> int:
     if info != 0:
         raise ValueError(f"Sturm count failed at x={x} (stebz info={info})")
     return int(found)
+
+
+def certified_sign(m: TridiagSym, x: float, k: int, exact: Callable[[], float]) -> float:
+    """-1.0 if a Sturm count puts the k-th eigenvalue of m below x - band, +1.0
+    if above x + band (band = ``_SIGN_GUARD`` * ||m||_1), else ``exact()``: a
+    root function signed like that eigenvalue minus x, so searches on either agree."""
+    off = np.abs(m.offdiag)
+    reach = np.append(off, 0.0)
+    reach[1:] += off  # |e_(i-1)| + |e_i|
+    band = _SIGN_GUARD * np.max(np.abs(m.diag) + reach)
+    if count_below(m, x - band) >= k:
+        return -1.0
+    if count_below(m, x + band) < k:
+        return 1.0
+    return exact()
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> float:

@@ -308,6 +308,7 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["effective", "--h", "-1", "--n-a0", "1001"],
     ["a0", "--n", "2"],
     ["disk", "--R", "0"],
+    ["disk", "--B", "1", "--R", "0"],
     ["disk", "--B", "0"],
     ["disk", "--neg", "0"],
     ["disk", "--pos", "0"],
@@ -316,6 +317,15 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
 def test_bad_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_bare_field_value_reports_the_real_fault(tmp_path, capsys):
+    # a bare --B value must fail like its const: form, not as an unknown spec
+    errs = []
+    for spec in ("1", "const:1"):
+        assert run(["disk", "--B", spec, "--R", "0", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "configuration error: R must be positive, got 0.0\n"
 
 
 def test_readme_usage_lines_parse():

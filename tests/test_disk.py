@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracbag import disk
+from diracbag import disk, numerics
 from diracbag.numerics import Grid1D
 
 
@@ -144,13 +144,14 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
     # eigensolve at every bisection step 338, and the zigzag solved every one
     # of the 31 modes per branch
     calls, counts = [], []
-    real, real_count = disk.eig_sym_tridiag, disk.count_below
+    real, real_count = disk.eig_sym_tridiag, numerics.count_below
     monkeypatch.setattr(
         disk, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
-    monkeypatch.setattr(
-        disk, "count_below", lambda *a: counts.append(1) or real_count(*a)
-    )
+    for mod in (disk, numerics):  # mode screens count in disk, bisection signs in numerics
+        monkeypatch.setattr(
+            mod, "count_below", lambda *a: counts.append(1) or real_count(*a)
+        )
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     disk.dirac_spectrum(spec, 5)
     spectrum_calls = len(calls)
@@ -182,21 +183,12 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
                 disk.mode_E(spec005, 0, "plus", 1).hex())
 
     certified = roots()
-    signs, solves, in_sign = [], [], []
-    real_count, real_sign, real_eig = (
-        disk.count_below, disk._ModeOperator.ell_sign, disk.eig_sym_tridiag)
-
-    def forced_sign(op, lam, k):
-        signs.append(1)
-        in_sign.append(1)
-        try:
-            return real_sign(op, lam, k)
-        finally:
-            in_sign.pop()
-
-    monkeypatch.setattr(disk._ModeOperator, "ell_sign", forced_sign)
-    monkeypatch.setattr(  # the mode screens keep their real counts
-        disk, "count_below", lambda m, x: math.nan if in_sign else real_count(m, x))
+    signs, solves = [], []
+    real_sign, real_eig = disk._ModeOperator.ell_sign, disk.eig_sym_tridiag
+    monkeypatch.setattr(disk._ModeOperator, "ell_sign",
+                        lambda op, lam, k: signs.append(1) or real_sign(op, lam, k))
+    # the signs count in numerics; the mode screens keep their real counts in disk
+    monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
     monkeypatch.setattr(
         disk, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
     assert roots() == certified

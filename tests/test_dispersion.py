@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracbag import dispersion, fiber
+from diracbag import dispersion, fiber, numerics
 from diracbag.numerics import Bracket, bisect
 
 
@@ -222,20 +222,58 @@ def test_c_gamma(a0res):
 
 
 def test_halfplane_eigensolve_counts(monkeypatch):
-    # find_a0 and c_gamma are single bisections of nu_1^-(c gamma, xi_c) - c^2;
-    # counts, not timings, so the gate cannot flake.  A nested search over xi
-    # spent ~2300 solves on a0 alone.
-    calls = []
-    real = fiber.eig_sym_tridiag
+    # find_a0 and c_gamma are single bisections of nu_1^-(c gamma, xi_c) - c^2
+    # on signs certified by Sturm counts; counts, not timings, so the gate
+    # cannot flake.  A nested search over xi spent ~2300 solves on a0 alone,
+    # and eigensolving every bisection step 36 (c_gamma(0.8): 29).  find_a0's
+    # fixed solves are u^2(0) and the three of _d2xi_nu.
+    calls, counts = [], []
+    real, real_count = fiber.eig_sym_tridiag, numerics.count_below
     monkeypatch.setattr(
         fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
+    monkeypatch.setattr(numerics, "count_below", lambda *a: counts.append(1) or real_count(*a))
     fiber._values.cache_clear()
     dispersion.find_a0.__wrapped__(501)
-    a0_calls = len(calls)
+    a0_calls, a0_counts = len(calls), len(counts)
     dispersion.c_gamma(0.8, 501)
-    assert a0_calls <= 54  # 36 measured
-    assert len(calls) - a0_calls <= 44  # 29 measured
+    assert a0_calls <= 6  # 4 measured
+    assert len(calls) - a0_calls <= 2  # 0 measured
+    assert a0_counts <= 75  # 50 measured
+    assert len(counts) - a0_counts <= 68  # 45 measured
+
+
+def _halfplane_hex():
+    a0 = dispersion.find_a0.__wrapped__(501)
+    out = [[v.hex() for v in (a0.a0, a0.u0sq, a0.d2xi_nu, a0.c0)]]
+    out += [dispersion.c_gamma(gamma, 1001).hex() for gamma in (0.1, 0.8, 6.0)]
+    # bisected to the rounding limit, many steps fall inside the band
+    out.append(dispersion.c_gamma(0.8, 1001, tol=0.0).hex())
+    out += [[v.hex() for v in dispersion.nu_of_alpha(alpha, 1001)] for alpha in (0.05, 2.0, 50.0)]
+    for search, arg in ((dispersion.c_gamma, 0.05), (dispersion.nu_of_alpha, 0.0075)):
+        with pytest.raises(RuntimeError, match="increase n") as err:
+            search(arg, 1001)
+        out.append(str(err.value))
+    return out
+
+
+def test_halfplane_certified_signs_match_eigensolve_bisection(monkeypatch):
+    # as on the disk: with every guard ambiguous (a NaN count passes neither
+    # test) each sign of the half-plane searches is eigensolved, and no value
+    # or raise may move by a bit.  With no band (guard 0) the tol = 0 root moves.
+    certified = _halfplane_hex()
+    signs, solves = [], []
+    real_sign = numerics.certified_sign
+
+    def forced_sign(m, x, k, exact):
+        signs.append(1)
+        return real_sign(m, x, k, lambda: solves.append(1) or exact())
+
+    monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
+    monkeypatch.setattr(dispersion, "certified_sign", forced_sign)
+    fiber._values.cache_clear()
+    assert _halfplane_hex() == certified
+    assert len(solves) == len(signs) > 0
 
 
 def test_c_gamma_small_gamma_is_first_root():

@@ -9,6 +9,7 @@ from diracbag.numerics import (
     Grid1D,
     TridiagSym,
     bisect,
+    certified_sign,
     count_below,
     eig_sym_tridiag,
     integrate,
@@ -136,6 +137,17 @@ def test_count_below_counts_an_exact_eigenvalue():
     # eigenvalue equal to x is counted
     m = TridiagSym(np.array([3.0, 1.0, 2.0, 2.0]), np.zeros(3))
     assert [count_below(m, x) for x in (0.5, 1.0, 1.5, 2.0, 3.0)] == [0, 1, 1, 3, 4]
+
+
+def test_certified_sign_eigensolves_only_in_the_band():
+    # the 2nd eigenvalue, 2, against levels above, below and at it: only the
+    # level inside the rounding band falls back to the root function
+    m = TridiagSym(np.array([3.0, 1.0, 2.0]), np.zeros(2))
+    calls = []
+    signs = [certified_sign(m, x, 2, lambda: calls.append(x) or 0.25)
+             for x in (1.5, 2.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-14)]
+    assert signs == [1.0, -1.0, 1.0, 0.25, 0.25]
+    assert calls == [2.0, 2.0 + 1e-14]
 
 
 def test_bisect_sqrt2():
