@@ -130,14 +130,15 @@ def radial_phi(field: RadialField, grid: Optional[Grid1D] = None) -> RadialGauge
     return RadialGauge(r=r, phi=phi, dphi=dphi, phi_min=float(phi[0]), hess=hess)
 
 
-def _radial_cells(spec: "DiskSpec") -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, flux midpoints, exact cell integrals of r dr, lumped masses."""
+def _radial_cells(spec: "DiskSpec") -> Tuple[np.ndarray, ...]:
+    """Nodes, flux midpoints, exact cell integrals of r dr, lumped masses and
+    phi' at the flux midpoints."""
     g = spec.rgrid
     nodes = g.nodes()
     flux = np.arange(1, g.n) * g.step
     mass = nodes * g.step
     mass[-1] = spec.field.R * g.step / 2.0 - g.step**2 / 8.0
-    return nodes, flux, flux * g.step, mass
+    return nodes, flux, flux * g.step, mass, spec.gauge.dphi_at(flux)
 
 
 def _shifted_grid(R: float, n: int) -> Grid1D:
@@ -205,16 +206,16 @@ class _ModeOperator:
     so the cut is far below the discretization error).
     """
 
-    def __init__(self, spec: DiskSpec, m: int, field_sign: str, orientation: int = 1):
+    def __init__(self, spec: DiskSpec, m: int, field_sign: str, orientation: int = 1, cells=None):
         self.m, self.field_sign = m, field_sign
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
         n = spec.rgrid.n
         delta = spec.rgrid.step
         h = spec.h
-        _, flux, c, mass = _radial_cells(spec)
+        _, flux, c, mass, dphi = cells or _radial_cells(spec)
         s = (1.0 if field_sign == "plus" else -1.0) * orientation
-        w = -h * m / flux + s * spec.gauge.dphi_at(flux)
+        w = -h * m / flux + s * dphi
 
         bad = np.abs(w) > h / delta
         j0 = int(np.nonzero(bad)[0].max()) + 1 if np.any(bad) else 0
@@ -237,16 +238,16 @@ class _ModeOperator:
 
         self.h = h
         self.R = spec.field.R
-        self.kd = kd
-        self.mass = mass
+        self.diag = kd / mass
+        self.wall = kd[-1], mass[-1]  # lambda enters only the last row
         sqrt_mass = np.sqrt(mass)
         self.off = ko / (sqrt_mass[:-1] * sqrt_mass[1:])
 
     def matrix(self, lam: float) -> TridiagSym:
         """Q_lambda relative to the L2 norm (without the -lambda^2 shift)."""
-        diag = self.kd.copy()
-        diag[-1] += self.h * lam * self.R
-        diag /= self.mass
+        diag = self.diag.copy()
+        kd, mass = self.wall
+        diag[-1] = (kd + self.h * lam * self.R) / mass
         return TridiagSym(diag, self.off)
 
     def ell(self, lam: float, k: int) -> np.ndarray:
@@ -279,9 +280,9 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float)
     ell_k is positive below its unique zero and negative above it (the
     discrete form satisfies the same second-order structure in lambda as the
     continuum one), so plain sign bisection applies.  ``op.ell_sign`` decides
-    signs by Sturm counts outside the eigensolver's rounding band (stebz's
-    bound, ``numerics.certified_sign``) and eigensolves inside it: the root is
-    bit for bit that of eigensolving every step.
+    signs by Sturm counts (one definiteness pass for k = 1) outside the
+    eigensolver's rounding band (``numerics.certified_sign``) and eigensolves
+    inside it: the root is bit for bit that of eigensolving every step.
     """
     where = f"mode m={op.m}, {op.field_sign} branch, k={k}, last lambda"
     f_lo = op.ell_sign(lo, k)
@@ -367,19 +368,35 @@ def mode_E(
     return _bisect_ell(op, k, lo, hi, rel_tol)
 
 
-def _screen(counts: Callable[[float], List[int]], count: int, lo: float, hi: float, steps: int) -> List[int]:
+def _screen(count_at: Callable[[int, float], int], modes: int, count: int,
+            lo: float, hi: float, steps: int) -> List[int]:
     """Per-mode root counts at x (1 + 1e-3), x holding ``count`` roots in all:
-    hi doubles until it does, then ``steps`` bisections (geometric while lo > 0) lower it."""
+    hi doubles until it does, then ``steps`` bisections (geometric while lo > 0)
+    lower it.  ``count_at(i, y)``, mode i's roots below y, never grows as y
+    falls, so a probe counts only the modes holding a root at the last accepted
+    probe, and the final count those at the smallest accepted probe above it."""
+    def at(y: float, prev: List[int]) -> List[int]:  # modes without a root in prev count 0
+        return [count_at(i, y) if held else 0 for i, held in enumerate(prev)]
+
+    every = [1] * modes
     for _ in range(60):
-        if sum(counts(hi)) >= count:
+        got = at(hi, every)
+        if sum(got) >= count:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError(f"fewer than {count} roots below {hi:.6g}")
+    accepted = [(hi, got)]
     for _ in range(steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        lo, hi = (lo, mid) if sum(counts(mid)) >= count else (mid, hi)
-    return counts(hi * (1.0 + 1e-3))
+        got = at(mid, accepted[-1][1])
+        if sum(got) >= count:
+            hi = mid
+            accepted.append((mid, got))
+        else:
+            lo = mid
+    top = hi * (1.0 + 1e-3)
+    return at(top, next((got for y, got in reversed(accepted) if y >= top), every))
 
 
 def _merge_modes(
@@ -389,23 +406,25 @@ def _merge_modes(
 
     ell_k(lambda) < 0 exactly when Q_lambda has at least k eigenvalues below
     lambda^2, so one Sturm count (``count_below``) per mode gives that mode's
-    number of roots below lambda.  Every (m, k) that ``_screen`` counts is
-    bisected as in ``mode_E``.  Count and eigensolve err by a few eps * ||T||_1
-    in ell_k, which moved roots by up to 2.4e-4 relative (plus-branch ground
-    root, h = 0.05, n = 2001) and under 1e-7 for m >= 2: the screen's 1e-3
-    margin costs a few bisections at most and can never drop a selected root.
+    number of roots below lambda; the screen recounts only modes still holding
+    one.  Every (m, k) it counts is bisected as in ``mode_E``.  Count and
+    eigensolve err by a few eps * ||T||_1 in ell_k, which moved roots by up to
+    2.4e-4 relative (plus-branch ground root, h = 0.05, n = 2001) and under
+    1e-7 for m >= 2: the screen's 1e-3 margin costs a few bisections at most
+    and can never drop a selected root.
     """
     m_lo, m_hi = spec.m_range
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
     # also enforces the positive-branch h floor
     lo, hi = _bracket_for(spec, m_lo, field_sign, 2, orientation)
-    ops = [_ModeOperator(spec, m, field_sign, orientation) for m in range(m_lo, m_hi + 1)]
+    cells = _radial_cells(spec)  # shared by the window's operators
+    ops = [_ModeOperator(spec, m, field_sign, orientation, cells) for m in range(m_lo, m_hi + 1)]
 
-    def counts(lam: float) -> List[int]:
-        return [count_below(op.matrix(lam), lam * lam) for op in ops]
+    def count_at(i: int, lam: float) -> int:
+        return count_below(ops[i].matrix(lam), lam * lam)
 
     entries: List[Tuple[float, int, int]] = []
-    for op, below in zip(ops, _screen(counts, count, lo, hi, 8)):
+    for op, below in zip(ops, _screen(count_at, len(ops), count, lo, hi, 8)):
         for k in range(1, below + 1):
             lo, hi = _bracket_for(spec, op.m, field_sign, k, orientation)
             entries.append((_bisect_ell(op, k, lo, hi, 1e-9), op.m, k))
@@ -466,7 +485,7 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     n = spec.rgrid.n
     delta = spec.rgrid.step
     h = spec.h
-    nodes, _, c, mass = _radial_cells(spec)
+    nodes, _, c, mass, _ = _radial_cells(spec)
     bvals = spec.field.samples(nodes)
     sgn = 1.0 if branch == "plus" else -1.0
 
@@ -481,13 +500,14 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     mats = [TridiagSym(diag, off) for diag in kd / mass[:-1] + np.array(v)[:, :-1]]
 
     # only modes with a value below a threshold holding ``count`` values can
-    # contribute; the threshold is doubled but not bisected
-    def below(x: float) -> List[int]:
-        return [count_below(t, x) for t in mats]
+    # contribute; the screen doubles and bisects that threshold, so the fewest
+    # modes are eigensolved
+    def below(i: int, x: float) -> int:
+        return count_below(mats[i], x)
 
     per_mode_k = min(count + 1, n - 2)
     allvals: List[float] = []
-    for t, held in zip(mats, _screen(below, count, 0.0, h * float(np.max(bvals)), 0)):
+    for t, held in zip(mats, _screen(below, len(mats), count, 0.0, h * float(np.max(bvals)), 8)):
         if held:
             vals, _ = eig_sym_tridiag(t, per_mode_k)
             allvals.extend(float(x) for x in vals)
@@ -525,36 +545,25 @@ def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) 
         raise ValueError(f"mode m={m} unresolvable on this grid (cut at {cut}/{N})")
     nf = N - cut  # f unknowns: edges cut+1..N, ghat unknowns: centers cut+1..N
 
-    rows, cols, data = [], [], []
-
-    def put(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-
-    def fcol(j):  # f_j, j = cut+1..N
-        return j - cut - 1
-
-    def gcol(j):  # ghat_j, j = cut+1..N
-        return nf + j - cut - 1
-
-    for j in range(cut + 1, N + 1):  # ghat equation at center j
-        i = gcol(j)
-        if j >= cut + 2:
-            put(i, fcol(j - 1), -h / delta + 0.5 * w_c[j - 1])  # f_{j-1}
-        elif m == 0 and cut == 0:
-            # regularity closure at the origin: f(0) ~ f(delta)
-            put(i, fcol(1), -h / delta + 0.5 * w_c[0])
-        put(i, fcol(j), h / delta + 0.5 * w_c[j - 1])  # f_j
-    for j in range(cut + 1, N):  # f equation at interior edge j
-        i = fcol(j)
-        put(i, gcol(j + 1), -h / delta - 0.5 * u_e[j - 1])  # ghat_{j+1}
-        put(i, gcol(j), h / delta - 0.5 * u_e[j - 1])  # ghat_j
+    # entries row by row in the order of the staggered stencil: each ghat
+    # equation (center j) couples f_{j-1} and f_j, each interior f equation
+    # (edge j) ghat_{j+1} and ghat_j; at m = 0 without a cut the regularity
+    # closure f(0) ~ f(delta) repeats f_1 in the first ghat row
+    t = np.arange(nf)
+    wc, ue = w_c[cut:], u_e[cut:N - 1]
+    g_rows = np.repeat(nf + t, 2)
+    g_cols = np.column_stack([np.maximum(t - 1, 0), t]).ravel()
+    g_data = np.column_stack([-h / delta + 0.5 * wc, h / delta + 0.5 * wc]).ravel()
+    first = 0 if m == 0 and cut == 0 else 1  # keep the closure's repeated f_1
+    f_rows = np.repeat(t[:-1], 2)
+    f_cols = np.column_stack([nf + t[1:], nf + t[:-1]]).ravel()
+    f_data = np.column_stack([-h / delta - 0.5 * ue, h / delta - 0.5 * ue]).ravel()
     # f equation at the wall edge, using ghat(R) = -f(R)
     w0, w1, w2 = 8.0 / (3.0 * delta), -3.0 / delta, 1.0 / (3.0 * delta)
-    put(fcol(N), fcol(N), h * w0 + u_e[N - 1])  # f_N  (from ghat(R) = -f_N)
-    put(fcol(N), gcol(N), -h * w1)  # ghat_N
-    put(fcol(N), gcol(N - 1), -h * w2)  # ghat_{N-1}
+    rows = np.concatenate([g_rows[first:], f_rows, [nf - 1] * 3])
+    cols = np.concatenate([g_cols[first:], f_cols, [nf - 1, 2 * nf - 1, 2 * nf - 2]])
+    data = np.concatenate([g_data[first:], f_data,
+                           [h * w0 + u_e[N - 1], -h * w1, -h * w2]])
 
     mat = scipy.sparse.csc_matrix(
         (data, (rows, cols)), shape=(2 * nf, 2 * nf), dtype=float

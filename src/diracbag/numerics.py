@@ -184,17 +184,28 @@ def count_below(m: TridiagSym, x: float) -> int:
     return int(found)
 
 
+def _any_below(m: TridiagSym, x: float) -> int:
+    """min(1, ``count_below(m, x)``) from one LDL^T pass: m - x I is positive
+    definite exactly when no eigenvalue is <= x (LAPACK pttrf stops at the
+    first non-positive pivot; those pivots are the Sturm recurrence's)."""
+    if m.n == 1:
+        return int(m.diag[0] <= x)
+    return int(scipy.linalg.lapack.dpttrf(m.diag - x, m.offdiag)[2] != 0)
+
+
 def certified_sign(m: TridiagSym, x: float, k: int, exact: Callable[[], float]) -> float:
     """-1.0 if a Sturm count puts the k-th eigenvalue of m below x - band, +1.0
     if above x + band (band = ``_SIGN_GUARD`` * ||m||_1), else ``exact()``: a
-    root function signed like that eigenvalue minus x, so searches on either agree."""
+    root function signed like that eigenvalue minus x, so searches on either agree.
+    For k = 1 one definiteness pass (``_any_below``) replaces each count."""
     off = np.abs(m.offdiag)
     reach = np.append(off, 0.0)
     reach[1:] += off  # |e_(i-1)| + |e_i|
     band = _SIGN_GUARD * np.max(np.abs(m.diag) + reach)
-    if count_below(m, x - band) >= k:
+    below = _any_below if k == 1 else count_below
+    if below(m, x - band) >= k:
         return -1.0
-    if count_below(m, x + band) < k:
+    if below(m, x + band) < k:
         return 1.0
     return exact()
 

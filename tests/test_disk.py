@@ -138,13 +138,78 @@ def test_dirac_spectrum_matches_brute_force(unit_field, orientation):
         assert prov == [(m, k) for _, m, k in best]
 
 
+def _screen_every_mode(count_at, modes, count, lo, hi, steps):
+    # the screen without pruning: every mode counted at every probe
+    def counts(y):
+        return [count_at(i, y) for i in range(modes)]
+
+    while sum(counts(hi)) < count:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(steps):
+        mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        lo, hi = (lo, mid) if sum(counts(mid)) >= count else (mid, hi)
+    return counts(hi * (1.0 + 1e-3))
+
+
+def test_screen_counts_only_live_modes(unit_field, monkeypatch):
+    # a mode's root count never grows as the threshold falls, so skipping the
+    # modes without a root at the last accepted probe changes no count
+    real, screens = disk._screen, []
+
+    def both(*args):
+        screens.append(real(*args))
+        assert screens[-1] == _screen_every_mode(*args)
+        return screens[-1]
+
+    monkeypatch.setattr(disk, "_screen", both)
+    for h in (0.2, 0.1, 0.05):
+        spec = disk.DiskSpec.make(unit_field, h, n=1001)
+        for orientation in (1, -1):
+            disk.dirac_spectrum(spec, 5, orientation=orientation)
+        for branch in ("plus", "minus"):
+            disk.zigzag_spectrum(spec, branch, 3)
+    assert len(screens) == 18 and all(sum(c) >= 3 for c in screens)
+
+
+def test_screen_counts_a_root_just_above_the_threshold():
+    # a root in (x, x (1 + 1e-3)] whose mode held none at the threshold x is
+    # still counted: the final count uses the live modes of a probe above it
+    probes = []
+
+    def screen(roots):
+        def count_at(i, y):
+            probes.append(y)
+            return sum(r <= y for r in roots[i])
+        return disk._screen(count_at, len(roots), 1, 0.25, 0.5, 8)
+
+    assert screen([[1.0]]) == [1]
+    x = probes[-1] / (1.0 + 1e-3)
+    roots = [[1.0], [x * (1.0 + 5e-4)]]
+    assert screen(roots) == [1, 1]
+    assert _screen_every_mode(lambda i, y: sum(r <= y for r in roots[i]), 2, 1, 0.25, 0.5, 8) == [1, 1]
+
+
+def test_zigzag_bisected_threshold_keeps_values(unit_field, monkeypatch):
+    # bisecting the zigzag threshold only skips eigensolves of modes above it
+    def values():
+        return [[v.hex() for v in disk.zigzag_spectrum(spec, branch, count).tolist()]
+                for spec in specs for branch in ("plus", "minus") for count in (1, 3, 5)]
+
+    specs = [disk.DiskSpec.make(unit_field, h, n=1001) for h in (0.2, 0.1, 0.05)]
+    bisected = values()
+    real = disk._screen
+    monkeypatch.setattr(disk, "_screen", lambda *args: real(*args[:-1], 0))
+    assert values() == bisected
+
+
 def test_disk_eigensolve_counts(unit_field, monkeypatch):
     # counts, not timings, so the gate cannot flake; bisecting two roots in
     # every mode and deepening took 4306 solves for the spectrum, an
     # eigensolve at every bisection step 338, and the zigzag solved every one
-    # of the 31 modes per branch
+    # of the 31 modes per branch.  Screens that recounted every mode took
+    # 1176 Sturm counts.
     calls, counts = [], []
-    real, real_count = disk.eig_sym_tridiag, numerics.count_below
+    real, real_count, real_any = disk.eig_sym_tridiag, numerics.count_below, numerics._any_below
     monkeypatch.setattr(
         disk, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
@@ -152,14 +217,16 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
         monkeypatch.setattr(
             mod, "count_below", lambda *a: counts.append(1) or real_count(*a)
         )
+    # k = 1 signs take one definiteness pass each, counted with the Sturm counts
+    monkeypatch.setattr(numerics, "_any_below", lambda *a: counts.append(1) or real_any(*a))
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     disk.dirac_spectrum(spec, 5)
     spectrum_calls = len(calls)
     assert spectrum_calls <= 52  # 35 measured
-    assert len(counts) <= 1764  # 1176 measured
+    assert len(counts) <= 1108  # 739 measured: 214 screen counts, 525 sign passes
     disk.zigzag_spectrum(spec, "plus", 3)
     disk.zigzag_spectrum(spec, "minus", 3)
-    assert len(calls) - spectrum_calls <= 13  # 9 measured
+    assert len(calls) - spectrum_calls <= 9  # 6 measured (9 with a doubled-only threshold)
 
 
 def _spectrum_hex(sp):
@@ -187,8 +254,10 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
     real_sign, real_eig = disk._ModeOperator.ell_sign, disk.eig_sym_tridiag
     monkeypatch.setattr(disk._ModeOperator, "ell_sign",
                         lambda op, lam, k: signs.append(1) or real_sign(op, lam, k))
-    # the signs count in numerics; the mode screens keep their real counts in disk
+    # the signs count in numerics (k = 1 by a definiteness pass); the mode
+    # screens keep their real counts in disk
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
+    monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
     monkeypatch.setattr(
         disk, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
     assert roots() == certified
@@ -237,6 +306,48 @@ def test_oracle_against_minmax_roots(unit_field):
     assert abs(em + neg[-1]) / em < 1e-6
     ep = disk.mode_E(spec, -3, "plus", 1)
     assert abs(ep - pos[0]) / ep < 1e-6
+
+
+def _oracle_entries_by_loop(spec, m):
+    # the staggered stencil entry by entry, the loop the oracle's assembly replaced
+    N, h = spec.rgrid.n, spec.h
+    delta = spec.field.R / N
+    edges = np.arange(1, N + 1) * delta
+    centers = (np.arange(1, N + 1) - 0.5) * delta
+    w_c = -h * m / centers + spec.gauge.dphi_at(centers)
+    u_e = h * (m + 1) / edges - spec.gauge.dphi_at(edges)
+    bad = (np.abs(w_c) > h / delta) | (np.abs(u_e) > h / delta)
+    cut = int(np.nonzero(bad)[0].max()) + 1 if np.any(bad) else 0
+    nf = N - cut
+    out = []
+    for j in range(cut + 1, N + 1):  # ghat equation at center j
+        if j >= cut + 2:
+            out.append((nf + j - cut - 1, j - cut - 2, -h / delta + 0.5 * w_c[j - 1]))
+        elif m == 0 and cut == 0:  # regularity closure f(0) ~ f(delta)
+            out.append((nf, 0, -h / delta + 0.5 * w_c[0]))
+        out.append((nf + j - cut - 1, j - cut - 1, h / delta + 0.5 * w_c[j - 1]))
+    for j in range(cut + 1, N):  # f equation at interior edge j
+        out.append((j - cut - 1, nf + j - cut, -h / delta - 0.5 * u_e[j - 1]))
+        out.append((j - cut - 1, nf + j - cut - 1, h / delta - 0.5 * u_e[j - 1]))
+    w0, w1, w2 = 8.0 / (3.0 * delta), -3.0 / delta, 1.0 / (3.0 * delta)
+    return out + [(nf - 1, nf - 1, h * w0 + u_e[N - 1]), (nf - 1, 2 * nf - 1, -h * w1),
+                  (nf - 1, 2 * nf - 2, -h * w2)]
+
+
+def test_oracle_assembly_matches_the_stencil_loop(unit_field, monkeypatch):
+    # same entries in the same order, bit for bit, so the sparse matrix and
+    # the ARPACK result do not move
+    captured, real = [], disk.scipy.sparse.csc_matrix
+    monkeypatch.setattr(disk.scipy.sparse, "csc_matrix",
+                        lambda arg, **kw: captured.append(arg) or real(arg, **kw))
+    for h, m in ((0.2, -3), (0.2, -1), (0.2, 0), (0.1, 0), (0.2, 1), (0.1, 4)):
+        spec = disk.DiskSpec.make(unit_field, h, n=201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            disk.dirac_radial_direct(spec, m, 1)
+        data, (rows, cols) = captured[-1]
+        got = [(int(i), int(j), float(v).hex()) for i, j, v in zip(rows, cols, data)]
+        assert got == [(i, j, float(v).hex()) for i, j, v in _oracle_entries_by_loop(spec, m)]
 
 
 def test_oracle_mode_conjugation(unit_field):

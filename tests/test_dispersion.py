@@ -223,24 +223,26 @@ def test_c_gamma(a0res):
 
 def test_halfplane_eigensolve_counts(monkeypatch):
     # find_a0 and c_gamma are single bisections of nu_1^-(c gamma, xi_c) - c^2
-    # on signs certified by Sturm counts; counts, not timings, so the gate
+    # on signs certified by definiteness passes; counts, not timings, so the gate
     # cannot flake.  A nested search over xi spent ~2300 solves on a0 alone,
     # and eigensolving every bisection step 36 (c_gamma(0.8): 29).  find_a0's
     # fixed solves are u^2(0) and the three of _d2xi_nu.
     calls, counts = [], []
-    real, real_count = fiber.eig_sym_tridiag, numerics.count_below
+    real = fiber.eig_sym_tridiag
     monkeypatch.setattr(
         fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
-    monkeypatch.setattr(numerics, "count_below", lambda *a: counts.append(1) or real_count(*a))
+    for name in ("count_below", "_any_below"):  # every sign here has k = 1
+        real_count = getattr(numerics, name)
+        monkeypatch.setattr(numerics, name, lambda *a, f=real_count: counts.append(1) or f(*a))
     fiber._values.cache_clear()
     dispersion.find_a0.__wrapped__(501)
     a0_calls, a0_counts = len(calls), len(counts)
     dispersion.c_gamma(0.8, 501)
     assert a0_calls <= 6  # 4 measured
     assert len(calls) - a0_calls <= 2  # 0 measured
-    assert a0_counts <= 75  # 50 measured
-    assert len(counts) - a0_counts <= 68  # 45 measured
+    assert a0_counts <= 75  # 50 measured, all definiteness passes
+    assert len(counts) - a0_counts <= 68  # 45 measured, all definiteness passes
 
 
 def _halfplane_hex():
@@ -270,6 +272,7 @@ def test_halfplane_certified_signs_match_eigensolve_bisection(monkeypatch):
         return real_sign(m, x, k, lambda: solves.append(1) or exact())
 
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
+    monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
     monkeypatch.setattr(dispersion, "certified_sign", forced_sign)
     fiber._values.cache_clear()
     assert _halfplane_hex() == certified

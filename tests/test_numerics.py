@@ -8,6 +8,7 @@ from diracbag.numerics import (
     BracketError,
     Grid1D,
     TridiagSym,
+    _any_below,
     bisect,
     certified_sign,
     count_below,
@@ -139,6 +140,42 @@ def test_count_below_counts_an_exact_eigenvalue():
     assert [count_below(m, x) for x in (0.5, 1.0, 1.5, 2.0, 3.0)] == [0, 1, 1, 3, 4]
 
 
+def _around_the_first_eigenvalue(d, e, gap):
+    vals = eigh_tridiagonal(d, e, eigvals_only=True)
+    step = gap * np.max(np.abs(vals))
+    return [vals[0] - step, vals[0] + step]
+
+
+def test_any_below_is_count_below_at_least_one():
+    # the one-pass definiteness test against the Sturm count on the count_below
+    # matrices: random, graded, orders one and two, outside the Gershgorin
+    # interval and exact eigenvalues, with levels on both sides of the first
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(12):
+        d, e = rng.normal(size=60), rng.normal(size=59)
+        cases.append((d, e, [-3.0, -0.5, 0.0, 0.7, 2.5] + _around_the_first_eigenvalue(d, e, 1e-9)))
+    rng = np.random.default_rng(9)
+    d = 10.0 ** np.linspace(-8, 8, 80) * rng.uniform(0.5, 2.0, 80)
+    e = np.sqrt(d[:-1] * d[1:]) * rng.uniform(-0.9, 0.9, 79)
+    shifts = _clear_shifts(eigh_tridiagonal(d, e, eigvals_only=True), rng, 40, 1e-9)
+    cases.append((d, e, list(shifts) + _around_the_first_eigenvalue(d, e, 1e-9)))
+    cases.append((np.array([2.0]), np.zeros(0), [1.0, 2.0, 3.0]))
+    cases.append((np.array([0.0, 0.0]), np.array([1.0]), [-1.5, -1.0, -0.5, 0.5]))
+    rng = np.random.default_rng(13)
+    d, e = rng.normal(size=30), rng.normal(size=29)
+    reach = np.abs(d) + np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]])
+    cases.append((d, e, [-reach.max() - 1.0, reach.max() + 1.0]))
+    cases.append((np.array([3.0, 1.0, 2.0, 2.0]), np.zeros(3), [0.5, 1.0, 1.5]))
+    got, expected = [], []
+    for d, e, levels in cases:
+        m = TridiagSym(d, e)
+        got += [_any_below(m, x) for x in levels]
+        expected += [int(count_below(m, x) >= 1) for x in levels]
+    assert got == expected
+    assert 0 < sum(got) < len(got)
+
+
 def test_certified_sign_eigensolves_only_in_the_band():
     # the 2nd eigenvalue, 2, against levels above, below and at it: only the
     # level inside the rounding band falls back to the root function
@@ -148,6 +185,8 @@ def test_certified_sign_eigensolves_only_in_the_band():
              for x in (1.5, 2.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-14)]
     assert signs == [1.0, -1.0, 1.0, 0.25, 0.25]
     assert calls == [2.0, 2.0 + 1e-14]
+    # k = 1 takes the definiteness pass, with the same band
+    assert [certified_sign(m, x, 1, lambda: 0.25) for x in (0.5, 1.5, 1.0)] == [1.0, -1.0, 0.25]
 
 
 def test_bisect_sqrt2():
