@@ -400,11 +400,14 @@ def cmd_check(args) -> int:
             failures.append(name)
 
     check("landau_minus_1", abs(fibermod.whole_line_levels("minus", 1) - 2.0) == 0.0)
-    n = 2001 if not args.full else 4001
+    # a0's grid error is O(step^2): 2.6e-6 at n = 2001, 6.5e-7 at n = 4001
+    n, a0_tol = (2001, 3e-6) if not args.full else (4001, 7.5e-7)
     res = dispmod.find_a0(n)
     check("a0_range", 0 < res.a0 < math.sqrt(2.0), f"a0={res.a0:.6f}")
     check("a0_value", abs(res.a0 - dispmod.A0_REFERENCE) < 2e-3,
           f"|a0 - {dispmod.A0_REFERENCE}| = {abs(res.a0 - dispmod.A0_REFERENCE):.2e}")
+    check("a0_exact", abs(res.a0 - dispmod.A0_EXACT) < a0_tol,
+          f"|a0 - {dispmod.A0_EXACT}| = {abs(res.a0 - dispmod.A0_EXACT):.2e} (grid error < {a0_tol:.1e})")
     check("c0_positive", res.c0 > 0 and res.u0sq < 2 * res.a0)
     mom = dispmod.momenta(res.a0, res.a0, n)
     check("momentum_M1", abs(mom.M[1] - res.u0sq / 2) < 1e-3 * res.u0sq)

@@ -46,6 +46,7 @@ __all__ = [
 CXI_SIGN_CONVENTION = "minus-xi"
 
 A0_REFERENCE = 1.31236  # reported value of the gap constant
+A0_EXACT = 1.31325405648101839  # continuum a0: D'_p(-sqrt(2) a0) = 0, p = a0^2 / 2 - 1
 
 _XI_SCAN_STEP = 0.25
 _ALPHA_EPS = 1e-8
@@ -73,7 +74,7 @@ class NuCurve:
 
 @dataclass(frozen=True)
 class A0Result:
-    """The gap constant and the quantities derived from it."""
+    """The gap constant and the quantities derived from it (d2xi_nu = 2 a0 u0sq)."""
 
     a0: float
     u0sq: float
@@ -152,10 +153,11 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
     nu(alpha) = min over xi of nu_1^-(alpha, xi).  By Hellmann-Feynman,
     d_xi nu_1^- = -(nu_1^- + alpha^2 - 2 alpha xi) u(0)^2, so the minimizer
     xi_alpha is the first sign change of g(xi) = nu_1^- + alpha^2 - 2 alpha xi
-    (later ones sit at a local maximum or in the flat tail).  g is stepped
-    from xi = -2 up to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or
-    the end of the truncation, and the first sign-changing cell is bisected
-    on signs of g certified by Sturm counts (``numerics.certified_sign``).
+    (later ones sit at a local maximum or in the flat tail).  g is stepped by
+    1/4 from the last multiple of 1/4 at or below alpha / 2 (g >= nu_1^- > 0
+    up to there) to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or the
+    end of the truncation; the first sign-changing cell is bisected on signs
+    of g certified by Sturm counts (``numerics.certified_sign``).
     At small alpha g dips only ~alpha / 3 below zero; below the grid's error
     (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """
@@ -170,7 +172,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
             fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2.0 * alpha * xi))
 
     xi_max = min((2.0 + alpha * alpha) / (2.0 * alpha), x1 - fiber.TAIL_PAD)
-    lo, g_lo = -2.0, g(-2.0)
+    lo, g_lo = _XI_SCAN_STEP * math.floor(0.5 * alpha / _XI_SCAN_STEP), 1.0
     hi, g_hi = lo + _XI_SCAN_STEP, g(lo + _XI_SCAN_STEP)
     while g_hi > 0.0:
         if hi > xi_max:
@@ -207,8 +209,10 @@ def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
     """The unique positive solution of nu(alpha) = alpha^2, with derived data.
 
     a0 = c_gamma(1), the root of nu_1^-(a, a) = a^2 on certified signs, comes
-    with u^2(0) at (a0, a0), the second xi-derivative of nu_1^- there (centered
-    differences) and the coupling constant c0 = a0 u^2(0) / (2 a0 - u^2(0)).
+    with u^2(0) at (a0, a0), the coupling constant c0 = a0 u^2(0) / (2 a0 -
+    u^2(0)) and the second xi-derivative of nu_1^- there, 2 a0 u^2(0): the
+    derivative of d_xi nu_1^- = -(nu_1^- + alpha^2 - 2 alpha xi) u(0)^2 where
+    d_xi nu_1^- and nu_1^- + alpha^2 - 2 alpha xi vanish.
     """
     a0 = c_gamma(1.0, n, tol)
     eig = fiber.fiber_eigs(
@@ -216,17 +220,7 @@ def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
     )
     u0sq = eig.u0**2
     c0 = a0 * u0sq / (2.0 * a0 - u0sq)
-    return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=_d2xi_nu(a0, a0, n), c0=c0, grid_n=n)
-
-
-def _d2xi_nu(alpha: float, xi: float, n: int) -> float:
-    """Centered second difference of nu_1^-(alpha, .) at xi."""
-    step = 0.02
-    return (
-        fiber.nu1("minus", alpha, xi + step, n)
-        - 2.0 * fiber.nu1("minus", alpha, xi, n)
-        + fiber.nu1("minus", alpha, xi - step, n)
-    ) / step**2
+    return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=2.0 * a0 * u0sq, c0=c0, grid_n=n)
 
 
 def _ground_state(alpha: float, xi: float, n: int):
@@ -268,6 +262,7 @@ def cxi_pairings(at_a0: A0Result, n: int = fiber.DEFAULT_N) -> Tuple[float, floa
       pair0     = <C_xi u, u>                       (vanishes at the minimum)
       dpair     = d/dxi <C_xi u, u>                 (equals -d2xi_nu / 2)
       final_sum = <C_xi u, k0> + <C_{xi,2} u, u>    (equals  d2xi_nu / 12)
+    with d2xi_nu = 2 a0 u(0)^2; dpair is an independent centered difference.
     """
     a0 = at_a0.a0
     pair0 = _cxi_pair(a0, a0, n)
@@ -356,7 +351,7 @@ def variable_field_hessian(
 
     Returns (d2s_mu, d2xi_mu, gap_prefactor) where
       d2s_mu  = b2 (nu(as) - (as / 2) nu'(as)),  as = alpha / sqrt(b0p),
-      d2xi_mu = second xi-derivative of nu_1^-(as, .) at its minimizer,
+      d2xi_mu = 2 as nu'(as), the second xi-derivative of nu_1^-(as, .) there,
       gap_prefactor = sqrt(d2s_mu * d2xi_mu).
     nu'(as) is u(0)^2 at the minimizer (Hellmann-Feynman, d_xi nu_1^- = 0).
     """
@@ -365,9 +360,9 @@ def variable_field_hessian(
     if b2 < 0:
         raise ValueError(f"b2 must be >= 0, got {b2}")
     a_s = alpha / math.sqrt(b0p)
-    nu, xi_a, dnu = nu_of_alpha(a_s, n)
+    nu, _, dnu = nu_of_alpha(a_s, n)
     d2s_mu = b2 * (nu - 0.5 * a_s * dnu)
-    d2xi_mu = _d2xi_nu(a_s, xi_a, n)
+    d2xi_mu = 2.0 * a_s * dnu
     return d2s_mu, d2xi_mu, math.sqrt(max(d2s_mu, 0.0) * max(d2xi_mu, 0.0))
 
 

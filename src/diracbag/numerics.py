@@ -267,18 +267,19 @@ def integrate(
     """Composite quadrature of samples on a uniform grid.
 
     Simpson's rule when the node count is odd (even interval count),
-    composite trapezoid otherwise.  Summation is performed with an exact
-    accumulator so repeated runs are bit-identical.
+    composite trapezoid otherwise.  The terms are summed exactly (``math.fsum``),
+    so their order cannot change the bits; largest first keeps fsum fast.
     """
     y = np.asarray(samples, dtype=float)
     if y.shape != (grid.n,):
         raise ValueError(f"samples length {y.shape} != grid n {grid.n}")
     h = grid.step
+    coeff = np.ones(grid.n)
     if grid.n % 2 == 1:
-        coeff = np.ones(grid.n)
         coeff[1:-1:2] = 4.0
         coeff[2:-1:2] = 2.0
-        return math.fsum((h / 3.0) * coeff * y)
-    coeff = np.ones(grid.n)
-    coeff[0] = coeff[-1] = 0.5
-    return math.fsum(h * coeff * y)
+        terms = (h / 3.0) * coeff * y
+    else:
+        coeff[0] = coeff[-1] = 0.5
+        terms = h * coeff * y
+    return math.fsum(terms[np.argsort(-np.abs(terms))].tolist())

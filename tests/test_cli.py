@@ -253,7 +253,7 @@ GOLDEN = {
         "a802d1fe3172de3b0745657165157adf8551bd3f31d1686c458383ca3a649d95"),
     "a0.json": (
         ["a0", "--n", "1001"],
-        "a17579c8bf130d4ecf591598d4eefda2602925f349d88959aff57dfbc1c7d8e1"),
+        "10514f203044b373134de680d233387dbf1424a38c4d4252d49e51aa820259e5"),
     "effective.csv": (
         ["effective", "--R", "1", "--h", "0.1", "--count", "5", "--n-a0", "1001"],
         "7c671ed95969b29dda8891fa17644f4f0cf903b39c6d7ff372266a141a179d2d"),
@@ -270,10 +270,10 @@ GOLDEN = {
     # check writes no file; its PASS/FAIL lines on stdout are the payload
     "check.stdout": (
         ["check"],
-        "5cc99e5a6c71e994d7fcb6d3aec25e01882de127f813698b25ee510a71cdfd57"),
+        "a89357cf8d2b57b41cbd742a30310ac3b34c6c2a7b01e4bcca1a7744b88cf2eb"),
     "check_full.stdout": (
         ["check", "--full"],
-        "1eccdce864814d899bdf73dab6212517c89da8f38a716370a58c8665e2419e8a"),
+        "d89213017ea6e43e98ef76834ed5df0dd9730642becc31130f984d57b186768b"),
 }
 
 

@@ -134,6 +134,28 @@ def test_nu_of_alpha_is_minimum_of_xi_scan():
             assert abs(xi_a - xs[np.argmin(scan)]) <= 0.05
 
 
+def test_nu_of_alpha_scan_skips_only_positive_cells(monkeypatch):
+    # the xi scan (step 1/4) starts from the last multiple of 1/4 at or below
+    # alpha / 2 and takes g = nu_1^- + alpha^2 - 2 alpha xi > 0 there without
+    # evaluating it; g is positive there and at every multiple it skips, down
+    # to xi = -2, so no sign change is lost
+    n = 1001
+    for alpha in (0.05, 0.5, 1.3, 2.0, 3.7, 10.0, 23.3, 50.0):
+        x1 = dispersion._truncation(alpha)
+        start = 0.25 * math.floor(2 * alpha)
+        assert start <= alpha / 2 < start + 0.25
+        for xi in np.arange(-2.0, start + 0.125, 0.25):
+            assert fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2 * alpha * xi > 0.0
+        visited = []
+        real = fiber.half_line_matrix
+        monkeypatch.setattr(
+            fiber, "half_line_matrix", lambda s, xi, *a: visited.append(xi) or real(s, xi, *a)
+        )
+        dispersion.nu_of_alpha(alpha, n)
+        monkeypatch.setattr(fiber, "half_line_matrix", real)
+        assert visited[0] == start + 0.25
+
+
 def test_nu_of_alpha_unresolved_minimum_raises():
     # at alpha = 0.0075 on 1001 nodes the discretization error of nu_1^-
     # exceeds the depth of the sign change; the scan stops at the truncation
@@ -160,8 +182,63 @@ def test_find_a0(a0res):
     assert a0res.c0 == pytest.approx(
         a0res.a0 * a0res.u0sq / (2 * a0res.a0 - a0res.u0sq), rel=1e-12
     )
-    # eq.C3 on the minus branch: d2xi nu = 2 alpha u(0)^2 at the minimizer
-    assert a0res.d2xi_nu == pytest.approx(2 * a0res.a0 * a0res.u0sq, rel=1e-2)
+
+
+# Continuum values at gamma = 1 from parabolic cylinder functions (40-digit
+# mpmath): a0 is the first root of D'_p(-sqrt(2) a) = 0, p = a^2 / 2 - 1; u(0)^2
+# = D_p(-sqrt(2) a0)^2 / int_0^inf D_p(sqrt(2)(tau - a0))^2; c0 = a0 u0^2 / (2 a0
+# - u0^2) and d_xi^2 nu = 2 a0 u0^2.
+A0_EXACT = 1.31325405648101839
+U0SQ_EXACT = 0.40548139053156363
+C0_EXACT = 0.23975401806981603
+D2XI_NU_EXACT = 1.0650001618862799
+
+# find_a0(n) - exact as measured; the truncation is 20 for every n, so each
+# doubling of n halves the step
+A0_GRID_ERROR = {
+    1001: (1.048e-5, -8.92e-5, -6.27e-5, -2.258e-4),
+    2001: (2.619e-6, -2.230e-5, -1.568e-5, -5.645e-5),
+    4001: (6.518e-7, -5.573e-6, -3.919e-6, -1.411e-5),
+}
+
+
+def _a0_errors(n):
+    r = dispersion.find_a0(n)
+    return np.array([r.a0 - A0_EXACT, r.u0sq - U0SQ_EXACT, r.c0 - C0_EXACT,
+                     r.d2xi_nu - D2XI_NU_EXACT])
+
+
+def test_exact_a0_constants():
+    assert dispersion.A0_EXACT == A0_EXACT
+    assert C0_EXACT == pytest.approx(A0_EXACT * U0SQ_EXACT / (2 * A0_EXACT - U0SQ_EXACT), rel=1e-15)
+    assert D2XI_NU_EXACT == pytest.approx(2 * A0_EXACT * U0SQ_EXACT, rel=1e-15)
+
+
+def test_find_a0_within_its_grid_error():
+    for n, measured in A0_GRID_ERROR.items():
+        err = _a0_errors(n)
+        assert np.all(np.sign(err) == np.sign(measured))
+        assert np.all(np.abs(err) <= 1.02 * np.abs(measured))
+
+
+def test_find_a0_converges_at_second_order():
+    # each halving of the step cuts every error by 4 (O(step^2))
+    errs = [_a0_errors(n) for n in (1001, 2001, 4001)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.all(np.abs(coarse / fine - 4.0) <= 0.1)
+
+
+def _d2xi_nu_by_difference(alpha, xi, n, step=0.02):
+    return (fiber.nu1("minus", alpha, xi + step, n) - 2 * fiber.nu1("minus", alpha, xi, n)
+            + fiber.nu1("minus", alpha, xi - step, n)) / step**2
+
+
+def test_d2xi_nu_matches_second_difference():
+    # eq.C3 on the minus branch: d2xi nu = 2 alpha u(0)^2 at the minimizer,
+    # against a centered second difference of nu_1^- (9.1e-5 relative at most)
+    for n in (1001, 2001, 4001):
+        r = dispersion.find_a0(n)
+        assert _d2xi_nu_by_difference(r.a0, r.a0, n) == pytest.approx(r.d2xi_nu, rel=1.5e-4)
 
 
 def test_sign_change_unique_on_scan():
@@ -226,7 +303,7 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     # on signs certified by definiteness passes; counts, not timings, so the gate
     # cannot flake.  A nested search over xi spent ~2300 solves on a0 alone,
     # and eigensolving every bisection step 36 (c_gamma(0.8): 29).  find_a0's
-    # fixed solves are u^2(0) and the three of _d2xi_nu.
+    # one fixed solve is u^2(0), which also gives d2xi nu = 2 a0 u^2(0).
     calls, counts = [], []
     real = fiber.eig_sym_tridiag
     monkeypatch.setattr(
@@ -239,10 +316,28 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     dispersion.find_a0.__wrapped__(501)
     a0_calls, a0_counts = len(calls), len(counts)
     dispersion.c_gamma(0.8, 501)
-    assert a0_calls <= 6  # 4 measured
+    assert a0_calls <= 2  # 1 measured
     assert len(calls) - a0_calls <= 2  # 0 measured
     assert a0_counts <= 75  # 50 measured, all definiteness passes
     assert len(counts) - a0_counts <= 68  # 45 measured, all definiteness passes
+
+
+def test_variable_field_hessian_eigensolve_counts(monkeypatch):
+    # the Hessian takes nu, nu' and d2xi_mu from nu_of_alpha's solves alone
+    calls = []
+    real = fiber.eig_sym_tridiag
+    monkeypatch.setattr(
+        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    for alpha in (1.3, 2.0):
+        fiber._values.cache_clear()
+        calls.clear()
+        dispersion.nu_of_alpha(alpha, 501)
+        own = len(calls)
+        fiber._values.cache_clear()
+        calls.clear()
+        dispersion.variable_field_hessian(1.0, 1.0, alpha, 501)
+        assert len(calls) == own
 
 
 def _halfplane_hex():
