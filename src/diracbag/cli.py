@@ -578,8 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (fibermod.GridRefinementError, diskmod.ModeRangeError,
-            ckmod.TruncationError, effmod.CutoffError, RuntimeError) as exc:
+    except RuntimeError as exc:  # ModeRangeError, TruncationError, CutoffError too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

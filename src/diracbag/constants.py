@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 MAX_K = 12  # Gram matrices become numerically rank-deficient beyond this
+HARDY_BASIS = 48  # Hardy truncation degree; 8 more check its convergence
 
 
 class TruncationError(RuntimeError):
@@ -63,7 +64,8 @@ class BoundaryCurve:
     z_min: complex
 
     @classmethod
-    def circle(cls, radius: float, z_min: complex = 0.0, n: int = 1024) -> "BoundaryCurve":
+    def circle(cls, radius: float, z_min: complex = 0.0) -> "BoundaryCurve":
+        n = 1024
         theta = 2.0 * math.pi * np.arange(n) / n
         pts = radius * np.exp(1j * theta)
         w = np.full(n, 2.0 * math.pi * radius / n)  # trapezoid on a closed curve
@@ -163,31 +165,23 @@ def _hardy_residual(k: int, curve: BoundaryCurve, n_basis: int) -> float:
     return max(resid2, 0.0) * scale ** (2 * (k - 1))
 
 
-def hardy_distance(
-    k: int,
-    curve: BoundaryCurve,
-    n_basis: int = 48,
-    check: bool = True,
-) -> float:
+def hardy_distance(k: int, curve: BoundaryCurve) -> float:
     """Boundary-norm distance of (z - z_min)^{k-1} to the order-k vanishing
     subspace, by constrained least squares over polynomial truncations.
 
     The vanishing constraints are eliminated by working in the monomial basis
-    centered at z_min with degrees >= k.  With ``check`` the truncation is
-    enlarged by 8 and the two values must agree to 1e-8 relative.
+    centered at z_min with degrees k..HARDY_BASIS - 1; the truncation enlarged
+    by 8 must agree to 1e-8 relative.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if n_basis < k + 8:
-        raise ValueError(f"need n_basis >= k + 8, got {n_basis}")
-    d2 = _hardy_residual(k, curve, n_basis)
-    if check:
-        d2_fine = _hardy_residual(k, curve, n_basis + 8)
-        if abs(d2_fine - d2) > 1e-8 * max(d2, 1e-300):
-            raise TruncationError(
-                f"Hardy distance not converged at n_basis={n_basis}: "
-                f"{d2:.12e} vs {d2_fine:.12e}"
-            )
+    if not 1 <= k <= HARDY_BASIS - 8:
+        raise ValueError(f"need 1 <= k <= {HARDY_BASIS - 8}, got {k}")
+    d2 = _hardy_residual(k, curve, HARDY_BASIS)
+    d2_fine = _hardy_residual(k, curve, HARDY_BASIS + 8)
+    if abs(d2_fine - d2) > 1e-8 * max(d2, 1e-300):
+        raise TruncationError(
+            f"Hardy distance not converged at {HARDY_BASIS} basis degrees: "
+            f"{d2:.12e} vs {d2_fine:.12e}"
+        )
     return math.sqrt(d2)
 
 

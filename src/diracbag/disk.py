@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 _GAUGE_N = 16385  # nodes of the internal [0, R] gauge grid
-POSITIVE_H_MIN = 0.02  # below this the positive eigenvalues underflow the weights
+_ROOT_REL_TOL = 1e-9  # relative width at which every disk root bisection stops
+POSITIVE_H_MIN = 0.05  # below it ell_k's rounding error swamps the plus roots' lambda^2
 
 
 class ModeRangeError(RuntimeError):
@@ -257,7 +258,7 @@ class _ModeOperator:
 
     def ell_sign(self, lam: float, k: int) -> float:
         """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
-        return certified_sign(self.matrix(lam), lam * lam, k, lambda: self.ell(lam, k)[k - 1])
+        return certified_sign(self.matrix(lam), lam * lam, k)
 
 
 def mode_ell(
@@ -274,8 +275,8 @@ def mode_ell(
     return _ModeOperator(spec, m, field_sign, orientation).ell(lam, k)
 
 
-def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float) -> float:
-    """Dichotomy on ell_k with geometric bracket expansion.
+def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
+    """Dichotomy on ell_k with geometric bracket expansion, to ``_ROOT_REL_TOL``.
 
     ell_k is positive below its unique zero and negative above it (the
     discrete form satisfies the same second-order structure in lambda as the
@@ -301,7 +302,7 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float, rel_tol: float)
         grow += 1
         if grow > 60:
             raise RuntimeError(f"no negative upper bracket for ell_k ({where}={hi:.6g})")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _ROOT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         f_mid = op.ell_sign(mid, k)
         if f_mid == 0.0:
@@ -341,7 +342,8 @@ def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int, orientation: i
     if h < POSITIVE_H_MIN:
         raise ValueError(
             f"h={h} below the supported range for positive eigenvalues "
-            f"(weights underflow past h={POSITIVE_H_MIN})"
+            f"(h >= {POSITIVE_H_MIN}): there lambda^2 sinks under the rounding "
+            f"error of ell_k, a few eps * ||Q_lambda||_1, which grows like n^2"
         )
     hi = 2.0 * math.sqrt(2.0 * h)
     if k == 1 and m >= 0:
@@ -358,14 +360,13 @@ def mode_E(
     field_sign: str,
     k: int = 1,
     orientation: int = 1,
-    rel_tol: float = 1e-9,
 ) -> float:
     """Unique positive zero E_k of ell_k(lambda) for angular mode m."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     op = _ModeOperator(spec, m, field_sign, orientation)
     lo, hi = _bracket_for(spec, m, field_sign, k, orientation)
-    return _bisect_ell(op, k, lo, hi, rel_tol)
+    return _bisect_ell(op, k, lo, hi)
 
 
 def _screen(count_at: Callable[[int, float], int], modes: int, count: int,
@@ -427,7 +428,7 @@ def _merge_modes(
     for op, below in zip(ops, _screen(count_at, len(ops), count, lo, hi, 8)):
         for k in range(1, below + 1):
             lo, hi = _bracket_for(spec, op.m, field_sign, k, orientation)
-            entries.append((_bisect_ell(op, k, lo, hi, 1e-9), op.m, k))
+            entries.append((_bisect_ell(op, k, lo, hi), op.m, k))
     entries.sort()
     selected = entries[:count]
 

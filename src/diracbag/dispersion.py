@@ -90,7 +90,7 @@ class Momenta:
     M: np.ndarray
 
 
-def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N, tol: float = 1e-10) -> ThetaPoint:
+def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N) -> ThetaPoint:
     """Dispersion-curve point: the unique alpha > 0 with nu_k(alpha, xi) = alpha^2.
 
     alpha enters the fiber matrix only as the rank-one term (2 alpha / step)
@@ -135,7 +135,7 @@ def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N, tol: float = 1
             above = nu_above(lo)
         if not above:  # the first plus curve deep in its flat tail
             return ThetaPoint(sign=sign, k=k, xi=xi, theta=0.0)
-    root = newton(hd, Bracket(lo, math.sqrt(lam_next), -math.inf, math.inf), tol)
+    root = newton(hd, Bracket(lo, math.sqrt(lam_next), -math.inf, math.inf))
     return ThetaPoint(sign=sign, k=k, xi=xi, theta=float(root))
 
 
@@ -168,8 +168,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
 
     def g(xi: float) -> float:
         t = fiber.half_line_matrix("minus", xi, grid, alpha)
-        return certified_sign(t, 2.0 * alpha * xi - alpha * alpha, 1, lambda: (
-            fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2.0 * alpha * xi))
+        return certified_sign(t, 2.0 * alpha * xi - alpha * alpha, 1)
 
     xi_max = min((2.0 + alpha * alpha) / (2.0 * alpha), x1 - fiber.TAIL_PAD)
     lo, g_lo = _XI_SCAN_STEP * math.floor(0.5 * alpha / _XI_SCAN_STEP), 1.0
@@ -205,16 +204,16 @@ def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
 
 
 @functools.lru_cache(maxsize=8)
-def find_a0(n: int = fiber.DEFAULT_N, tol: float = 1e-8) -> A0Result:
+def find_a0(n: int = fiber.DEFAULT_N) -> A0Result:
     """The unique positive solution of nu(alpha) = alpha^2, with derived data.
 
-    a0 = c_gamma(1), the root of nu_1^-(a, a) = a^2 on certified signs, comes
-    with u^2(0) at (a0, a0), the coupling constant c0 = a0 u^2(0) / (2 a0 -
-    u^2(0)) and the second xi-derivative of nu_1^- there, 2 a0 u^2(0): the
+    a0 = c_gamma(1) to 1e-8, the root of nu_1^-(a, a) = a^2 on certified
+    signs, comes with u^2(0) at (a0, a0), the coupling constant c0 = a0 u^2(0)
+    / (2 a0 - u^2(0)) and the second xi-derivative of nu_1^- there, 2 a0 u^2(0): the
     derivative of d_xi nu_1^- = -(nu_1^- + alpha^2 - 2 alpha xi) u(0)^2 where
     d_xi nu_1^- and nu_1^- + alpha^2 - 2 alpha xi vanish.
     """
-    a0 = c_gamma(1.0, n, tol)
+    a0 = c_gamma(1.0, n, 1e-8)
     eig = fiber.fiber_eigs(
         fiber.FiberSpec("minus", a0, a0, grid=Grid1D(0.0, _truncation(a0), n))
     )
@@ -319,9 +318,8 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
     slope = (1.0 + gamma * gamma) / (2.0 * gamma)
 
     def f(c: float) -> float:
-        alpha, x1 = c * gamma, _truncation(c * gamma)
-        t = fiber.half_line_matrix("minus", c * slope, Grid1D(0.0, x1, n), alpha)
-        return certified_sign(t, c * c, 1, lambda: fiber.nu1("minus", alpha, c * slope, n, x1) - c * c)
+        grid = Grid1D(0.0, _truncation(c * gamma), n)
+        return certified_sign(fiber.half_line_matrix("minus", c * slope, grid, c * gamma), c * c, 1)
 
     step = _XI_SCAN_STEP / slope
     c_max = math.sqrt(2.0) + 0.2  # nu < 2 puts the root below sqrt(2)

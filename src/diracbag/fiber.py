@@ -23,31 +23,18 @@ from .numerics import Grid1D, TridiagSym, eig_sym_tridiag, integrate
 __all__ = [
     "FiberSpec",
     "FiberEigen",
-    "GridRefinementError",
     "default_grid",
     "whole_line_levels",
     "fiber_eigs",
     "fiber_eig_derivatives",
     "half_line_matrix",
     "nu_values",
+    "nu_k",
 ]
 
 DEFAULT_N = 4001
 TAIL_PAD = 12.0  # Gaussian tail beyond the classical turning point
 MIN_LENGTH = 20.0
-
-
-class GridRefinementError(RuntimeError):
-    """Eigenvalue still moving under grid refinement."""
-
-    def __init__(self, change: float, tol: float, n: int):
-        self.change = change
-        self.tol = tol
-        self.n = n
-        super().__init__(
-            f"eigenvalue changed by {change:.3e} (> {tol:.3e}) when refining "
-            f"n={n} -> {2 * n - 1}; increase the node count"
-        )
 
 
 def default_grid(xi: float, n: int = DEFAULT_N, domain: str = "half_line") -> Grid1D:
@@ -147,7 +134,10 @@ def _assemble_whole_line(spec: FiberSpec) -> TridiagSym:
     return TridiagSym(diag, off)
 
 
-def _solve(spec: FiberSpec, k: int) -> FiberEigen:
+def fiber_eigs(spec: FiberSpec, k: int = 1) -> FiberEigen:
+    """First k eigenpairs of the fiber operator."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     g = spec.grid
     h = g.step
     if spec.domain == "whole_line":
@@ -173,30 +163,6 @@ def _solve(spec: FiberSpec, k: int) -> FiberEigen:
     u0 = float(funcs[0, 0])
     du0 = float((-3.0 * funcs[0, 0] + 4.0 * funcs[1, 0] - funcs[2, 0]) / (2.0 * h))
     return FiberEigen(values=vals, u0=u0, du0=du0, functions=funcs, grid=g)
-
-
-def fiber_eigs(spec: FiberSpec, k: int = 1, check_tol: Optional[float] = None) -> FiberEigen:
-    """First k eigenpairs of the fiber operator.
-
-    With ``check_tol`` set, the ground eigenvalue is recomputed on a grid with
-    halved step; a change above the tolerance raises GridRefinementError.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    res = _solve(spec, k)
-    if check_tol is not None:
-        fine = FiberSpec(
-            sign=spec.sign,
-            alpha=spec.alpha,
-            xi=spec.xi,
-            domain=spec.domain,
-            grid=Grid1D(spec.grid.x0, spec.grid.x1, 2 * spec.grid.n - 1),
-        )
-        ref = _solve(fine, 1)
-        change = abs(ref.values[0] - res.values[0])
-        if change > check_tol:
-            raise GridRefinementError(change, check_tol, spec.grid.n)
-    return res
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -228,19 +194,8 @@ def nu_k(
     return nu_values(sign, k, alpha, xi, n, x1)[k - 1]
 
 
-def nu1(
-    sign: str,
-    alpha: float,
-    xi: float,
-    n: int = DEFAULT_N,
-    x1: Optional[float] = None,
-) -> float:
-    """Ground eigenvalue nu_1^{sign}(alpha, xi) of the half-line fiber."""
-    return nu_k(sign, 1, alpha, xi, n, x1)
-
-
-def fiber_eig_derivatives(spec: FiberSpec, step: float = 1e-4) -> Tuple[float, float]:
-    """(d nu_1/d xi, d nu_1/d alpha) by centered differences.
+def fiber_eig_derivatives(spec: FiberSpec) -> Tuple[float, float]:
+    """(d nu_1/d xi, d nu_1/d alpha) by centered differences of step 1e-4.
 
     Oracle for the identities d_alpha nu = u(0)^2 and
     d_xi nu^{+-} = +-(nu + alpha^2 - 2 alpha xi) u(0)^2.
@@ -250,6 +205,7 @@ def fiber_eig_derivatives(spec: FiberSpec, step: float = 1e-4) -> Tuple[float, f
     n = spec.grid.n
     # one common truncation so the xi-dependence of the domain never enters
     x1 = max(MIN_LENGTH, abs(spec.xi) + TAIL_PAD + 1.0)
+    step = 1e-4
 
     def val(alpha: float, xi: float) -> float:
         return _values(spec.sign, alpha, xi, n, x1, 1)[0]

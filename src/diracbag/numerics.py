@@ -193,10 +193,10 @@ def _any_below(m: TridiagSym, x: float) -> int:
     return int(scipy.linalg.lapack.dpttrf(m.diag - x, m.offdiag)[2] != 0)
 
 
-def certified_sign(m: TridiagSym, x: float, k: int, exact: Callable[[], float]) -> float:
+def certified_sign(m: TridiagSym, x: float, k: int) -> float:
     """-1.0 if a Sturm count puts the k-th eigenvalue of m below x - band, +1.0
-    if above x + band (band = ``_SIGN_GUARD`` * ||m||_1), else ``exact()``: a
-    root function signed like that eigenvalue minus x, so searches on either agree.
+    if above x + band (band = ``_SIGN_GUARD`` * ||m||_1), else that eigenvalue
+    minus x, eigensolved: searches on the signs and on the values agree.
     For k = 1 one definiteness pass (``_any_below``) replaces each count."""
     off = np.abs(m.offdiag)
     reach = np.append(off, 0.0)
@@ -207,7 +207,7 @@ def certified_sign(m: TridiagSym, x: float, k: int, exact: Callable[[], float]) 
         return -1.0
     if below(m, x + band) < k:
         return 1.0
-    return exact()
+    return float(eig_sym_tridiag(m, k)[0][k - 1] - x)
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> float:

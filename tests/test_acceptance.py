@@ -57,7 +57,7 @@ def test_c04_derivative_identities():
     for alpha in (0.5, 1.0, 2.0):
         for xi in (-1.0, 0.0, 1.0, 2.0):
             spec = fiber.FiberSpec("minus", alpha, xi)
-            d_xi, d_alpha = fiber.fiber_eig_derivatives(spec, step=1e-4)
+            d_xi, d_alpha = fiber.fiber_eig_derivatives(spec)
             eig = fiber.fiber_eigs(spec, 1)
             u0sq = eig.u0**2
             nu = eig.values[0]

@@ -74,10 +74,10 @@ def test_hardy_disk_closed_form():
 
 def test_hardy_shifted_center_converges():
     curve = ck.BoundaryCurve.circle(1.0, z_min=0.2)
-    val = ck.hardy_distance(2, curve, n_basis=48, check=True)
+    val = ck.hardy_distance(2, curve)
     assert math.isfinite(val) and val > 0
     # truncation already converged: enlarging the basis does not move it
-    val2 = ck.hardy_distance(2, curve, n_basis=64, check=False)
+    val2 = math.sqrt(ck._hardy_residual(2, curve, 64))
     assert val == pytest.approx(val2, rel=1e-8)
 
 
@@ -95,9 +95,12 @@ def test_hardy_rotation_invariance():
 
 
 def test_hardy_basis_validation():
+    # degrees k..HARDY_BASIS - 1 plus 8 to check: a larger k cannot be served
     curve = ck.BoundaryCurve.circle(1.0)
-    with pytest.raises(ValueError):
-        ck.hardy_distance(2, curve, n_basis=6)
+    assert ck.hardy_distance(ck.HARDY_BASIS - 8, curve) > 0
+    for k in (0, ck.HARDY_BASIS - 7):
+        with pytest.raises(ValueError, match=rf"need 1 <= k <= {ck.HARDY_BASIS - 8}"):
+            ck.hardy_distance(k, curve)
 
 
 def test_ck_disk_values():

@@ -209,11 +209,14 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
     # of the 31 modes per branch.  Screens that recounted every mode took
     # 1176 Sturm counts.
     calls, counts = [], []
-    real, real_count, real_any = disk.eig_sym_tridiag, numerics.count_below, numerics._any_below
-    monkeypatch.setattr(
-        disk, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-    )
-    for mod in (disk, numerics):  # mode screens count in disk, bisection signs in numerics
+    real_count, real_any = numerics.count_below, numerics._any_below
+    # the mode screens count and the zigzag solves in disk; the bisection
+    # signs count, and eigensolve inside their band, in numerics
+    for mod in (disk, numerics):
+        real = mod.eig_sym_tridiag
+        monkeypatch.setattr(
+            mod, "eig_sym_tridiag", lambda *a, f=real, **kw: calls.append(1) or f(*a, **kw)
+        )
         monkeypatch.setattr(
             mod, "count_below", lambda *a: counts.append(1) or real_count(*a)
         )
@@ -251,15 +254,17 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
 
     certified = roots()
     signs, solves = [], []
-    real_sign, real_eig = disk._ModeOperator.ell_sign, disk.eig_sym_tridiag
+    real_sign = disk._ModeOperator.ell_sign
     monkeypatch.setattr(disk._ModeOperator, "ell_sign",
                         lambda op, lam, k: signs.append(1) or real_sign(op, lam, k))
-    # the signs count in numerics (k = 1 by a definiteness pass); the mode
-    # screens keep their real counts in disk
+    # the signs count and eigensolve in numerics (k = 1 by a definiteness
+    # pass); the mode screens keep their real counts in disk
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
     monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
-    monkeypatch.setattr(
-        disk, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
+    for mod in (disk, numerics):
+        real = mod.eig_sym_tridiag
+        monkeypatch.setattr(
+            mod, "eig_sym_tridiag", lambda *a, f=real, **kw: solves.append(1) or f(*a, **kw))
     assert roots() == certified
     assert len(solves) == len(signs)
 
@@ -361,9 +366,24 @@ def test_oracle_mode_conjugation(unit_field):
     assert abs(em + o1[o1 < 0][-1]) / em < 1e-5
 
 
-def test_positive_branch_h_floor(unit_field):
+def test_positive_branch_h_floor(unit_field, disk_runs):
     spec = disk.DiskSpec.make(unit_field, 0.01, n=501, m_range=(-3, 3))
     with pytest.raises(ValueError, match="supported range"):
         disk.mode_E(spec, 0, "plus", 1)
     # the negative branch stays available below the floor
     assert disk.mode_E(spec, -3, "minus", 1) > 0
+    # just below the floor the plus (0, 1) root was off the exact one by 2e-3
+    # to 6e-3 relative at n = 1001..4001 (h = 0.045), by up to 0.24 at
+    # h = 0.04: both entry points refuse it
+    spec = disk.DiskSpec.make(unit_field, 0.045, n=501, m_range=(-3, 3))
+    with pytest.raises(ValueError, match=r"supported range .*\(h >= 0\.05\)"):
+        disk.mode_E(spec, 0, "plus", 1)
+    with pytest.raises(ValueError, match=r"supported range .*\(h >= 0\.05\)"):
+        disk.dirac_spectrum(spec, 1)
+    # at the floor the (0, 1) root is within 1e-4 of the exact one, the root of
+    # M(a, 1, z) = (lam R / 2h) M(a + 1, 2, z), a = -lam^2 / 2h, z = R^2 / 2h
+    # (Kummer M; 40-digit mpmath)
+    exact = 4.539966408134329e-05
+    sp = disk_runs[0.05]["spectrum"]
+    assert sp.pos_provenance[0] == (0, 1)
+    assert abs(sp.pos[0] / exact - 1.0) < 1e-4

@@ -128,7 +128,7 @@ def test_nu_of_alpha_is_minimum_of_xi_scan():
         x1 = dispersion._truncation(alpha)
         top = min((2 + alpha**2) / (2 * alpha), x1 - fiber.TAIL_PAD)
         xs = np.arange(-2.0, top, 0.05)
-        scan = np.array([fiber.nu1("minus", alpha, x, n, x1) for x in xs])
+        scan = np.array([fiber.nu_k("minus", 1, alpha, x, n, x1) for x in xs])
         assert nu <= scan.min() + 5e-5
         if alpha <= 2.0:  # at alpha = 50 the scan is flat to 1e-12; its argmin is noise
             assert abs(xi_a - xs[np.argmin(scan)]) <= 0.05
@@ -145,7 +145,7 @@ def test_nu_of_alpha_scan_skips_only_positive_cells(monkeypatch):
         start = 0.25 * math.floor(2 * alpha)
         assert start <= alpha / 2 < start + 0.25
         for xi in np.arange(-2.0, start + 0.125, 0.25):
-            assert fiber.nu1("minus", alpha, xi, n, x1) + alpha * alpha - 2 * alpha * xi > 0.0
+            assert fiber.nu_k("minus", 1, alpha, xi, n, x1) + alpha * alpha - 2 * alpha * xi > 0.0
         visited = []
         real = fiber.half_line_matrix
         monkeypatch.setattr(
@@ -229,8 +229,8 @@ def test_find_a0_converges_at_second_order():
 
 
 def _d2xi_nu_by_difference(alpha, xi, n, step=0.02):
-    return (fiber.nu1("minus", alpha, xi + step, n) - 2 * fiber.nu1("minus", alpha, xi, n)
-            + fiber.nu1("minus", alpha, xi - step, n)) / step**2
+    nu = [fiber.nu_k("minus", 1, alpha, xi + s, n) for s in (step, 0.0, -step)]
+    return (nu[0] - 2 * nu[1] + nu[2]) / step**2
 
 
 def test_d2xi_nu_matches_second_difference():
@@ -298,21 +298,25 @@ def test_c_gamma(a0res):
     assert cg2 < cg6 < math.sqrt(2)
 
 
+def _count_eigensolves(monkeypatch, calls):
+    for mod in (fiber, numerics):
+        real = mod.eig_sym_tridiag
+        monkeypatch.setattr(mod, "eig_sym_tridiag",
+                            lambda *a, f=real, **kw: calls.append(1) or f(*a, **kw))
+
+
 def test_halfplane_eigensolve_counts(monkeypatch):
     # find_a0 and c_gamma are single bisections of nu_1^-(c gamma, xi_c) - c^2
     # on signs certified by definiteness passes; counts, not timings, so the gate
     # cannot flake.  A nested search over xi spent ~2300 solves on a0 alone,
     # and eigensolving every bisection step 36 (c_gamma(0.8): 29).  find_a0's
     # one fixed solve is u^2(0), which also gives d2xi nu = 2 a0 u^2(0).
+    # Eigensolves count in fiber (fixed solves) and numerics (in-band signs).
     calls, counts = [], []
-    real = fiber.eig_sym_tridiag
-    monkeypatch.setattr(
-        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-    )
+    _count_eigensolves(monkeypatch, calls)
     for name in ("count_below", "_any_below"):  # every sign here has k = 1
         real_count = getattr(numerics, name)
         monkeypatch.setattr(numerics, name, lambda *a, f=real_count: counts.append(1) or f(*a))
-    fiber._values.cache_clear()
     dispersion.find_a0.__wrapped__(501)
     a0_calls, a0_counts = len(calls), len(counts)
     dispersion.c_gamma(0.8, 501)
@@ -325,16 +329,12 @@ def test_halfplane_eigensolve_counts(monkeypatch):
 def test_variable_field_hessian_eigensolve_counts(monkeypatch):
     # the Hessian takes nu, nu' and d2xi_mu from nu_of_alpha's solves alone
     calls = []
-    real = fiber.eig_sym_tridiag
-    monkeypatch.setattr(
-        fiber, "eig_sym_tridiag", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-    )
+    _count_eigensolves(monkeypatch, calls)
     for alpha in (1.3, 2.0):
-        fiber._values.cache_clear()
         calls.clear()
         dispersion.nu_of_alpha(alpha, 501)
         own = len(calls)
-        fiber._values.cache_clear()
+        assert own <= 3  # 2 measured: the minimizer's eigenpair and one in-band sign
         calls.clear()
         dispersion.variable_field_hessian(1.0, 1.0, alpha, 501)
         assert len(calls) == own
@@ -360,18 +360,63 @@ def test_halfplane_certified_signs_match_eigensolve_bisection(monkeypatch):
     # or raise may move by a bit.  With no band (guard 0) the tol = 0 root moves.
     certified = _halfplane_hex()
     signs, solves = [], []
-    real_sign = numerics.certified_sign
-
-    def forced_sign(m, x, k, exact):
-        signs.append(1)
-        return real_sign(m, x, k, lambda: solves.append(1) or exact())
-
+    real_sign, real_eig = numerics.certified_sign, numerics.eig_sym_tridiag
+    monkeypatch.setattr(dispersion, "certified_sign",
+                        lambda *a: signs.append(1) or real_sign(*a))
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
     monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
-    monkeypatch.setattr(dispersion, "certified_sign", forced_sign)
-    fiber._values.cache_clear()
+    monkeypatch.setattr(
+        numerics, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
     assert _halfplane_hex() == certified
     assert len(solves) == len(signs) > 0
+
+
+# float.hex of _halfplane_hex() and of the disk_runs spectra (values and
+# provenance, both branches): however the certified searches compute their
+# signs, they must return these bits
+PINNED_HALFPLANE = [
+    ["0x1.503429874bc6ap+0", "0x1.9ed90b3be17f0p-2", "0x1.1068b3107116cp+0",
+     "0x1.ea80bb51d61e9p-3"],
+    "0x1.b23c7bad068cap-2",
+    "0x1.4074402490758p+0",
+    "0x1.6a08e2836773ap+0",
+    "0x1.40743fd8dfe6ep+0",
+    ["0x1.a5b0531cd9404p-3", "0x1.0ac1672530000p+1", "0x1.bb66ad91170b4p+1"],
+    ["0x1.e7754fddf25eep+0", "0x1.79dd53f760000p+0", "0x1.3c596b7911a38p-3"],
+    ["0x1.ffed0dfb6b744p+0", "0x1.9051e87d1e000p+4", "0x1.4f7be87307612p-309"],
+    "failed to bracket c_gamma for gamma=0.05 at n = 1001; the grid does not resolve "
+    "the minimum, increase n",
+    "no critical point of nu_1^-(0.0075, .) below xi = 8 at n = 1001; the grid does not "
+    "resolve the minimum, increase n",
+]
+PINNED_DISK = {
+    0.2: (["0x1.5276aba163be8p-4", "0x1.e4dbc18ab31b9p-3", "0x1.aeb780aeeb41dp-2",
+           "0x1.3b8b4c6afbce2p-1", "0x1.7da6476b80d52p-1"],
+          [(0, 1), (1, 1), (2, 1), (3, 1), (-1, 1)],
+          ["0x1.29bd10ff52bdap-1", "0x1.4872f70b454bap-1", "0x1.944b9a63eee5dp-1",
+           "0x1.bdcaba3d7238dp-1", "0x1.f336040ea7185p-1"],
+          [(0, 1), (-1, 1), (-2, 1), (1, 1), (-3, 1)]),
+    0.1: (["0x1.b8f1d6eca00a4p-8", "0x1.12e59eafbea0cp-5", "0x1.5f92d45664638p-4",
+           "0x1.4275b5a6ca558p-3", "0x1.ecfef02ba4174p-3"],
+          [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],
+          ["0x1.a99d8a90827d0p-2", "0x1.af39902940ebdp-2", "0x1.bc087278a5ac4p-2",
+           "0x1.d5b41774b6c6ap-2", "0x1.0ab520bb6239ap-1"],
+          [(-1, 1), (-2, 1), (0, 1), (-3, 1), (-4, 1)]),
+    0.05: (["0x1.7ccfa6d710901p-15", "0x1.dc02a8766e0bap-12", "0x1.29599db9063e4p-9",
+            "0x1.eeb7bdf8684bcp-8", "0x1.3469882bbf750p-6"],
+           [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],
+           ["0x1.2cf57abc7216cp-2", "0x1.2de9fb4831b00p-2", "0x1.35161728d5994p-2",
+            "0x1.3556fb6cf4700p-2", "0x1.3d30848efef7ap-2"],
+           [(-5, 1), (-4, 1), (-3, 1), (-6, 1), (-2, 1)]),
+}
+
+
+def test_certified_searches_keep_their_pinned_bits(disk_runs):
+    assert _halfplane_hex() == PINNED_HALFPLANE
+    for h, pinned in PINNED_DISK.items():
+        sp = disk_runs[h]["spectrum"]
+        assert ([v.hex() for v in sp.pos.tolist()], sp.pos_provenance,
+                [v.hex() for v in sp.neg.tolist()], sp.neg_provenance) == pinned
 
 
 def test_c_gamma_small_gamma_is_first_root():

@@ -47,31 +47,31 @@ def test_robin_residual_general():
 
 def test_fiber_limits():
     # nu_1^- -> 2k as xi -> +inf ; nu_1^+ -> 2(k-1) as xi -> -inf
-    v = fiber.nu1("minus", 2.0, 8.0)
+    v = fiber.nu_k("minus", 1, 2.0, 8.0)
     assert abs(v - 2.0) < 0.05
     assert v == pytest.approx(1.9999984, abs=1e-5)  # frozen converged value
-    vp = fiber.nu1("plus", 2.0, -8.0)
+    vp = fiber.nu_k("plus", 1, 2.0, -8.0)
     assert abs(vp) < 0.05
 
 
 def test_monotone_in_alpha():
     for xi in (-1.0, 0.5, 2.0):
-        vals = [fiber.nu1("minus", a, xi, n=1001) for a in (0.5, 1.0, 2.0, 4.0)]
+        vals = [fiber.nu_k("minus", 1, a, xi, n=1001) for a in (0.5, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(vals) > 0)
 
 
 def test_unimodal_minus_and_increasing_plus():
     xis = np.arange(-2.0, 6.0 + 1e-9, 0.4)
-    minus = np.array([fiber.nu1("minus", 2.0, x, n=1001) for x in xis])
+    minus = np.array([fiber.nu_k("minus", 1, 2.0, x, n=1001) for x in xis])
     signs = np.sign(np.diff(minus))
     flips = np.sum(np.abs(np.diff(signs)) > 0)
     assert flips == 1  # exactly one sign change of the discrete derivative
-    plus = np.array([fiber.nu1("plus", 2.0, x, n=1001) for x in xis])
+    plus = np.array([fiber.nu_k("plus", 1, 2.0, x, n=1001) for x in xis])
     assert np.all(np.diff(plus) > 0)
 
 
 def test_truncation_stability():
-    base = fiber.nu1("minus", 1.0, 2.0)  # x1 = 20 >= |xi| + 12
+    base = fiber.nu_k("minus", 1, 1.0, 2.0)  # x1 = 20 >= |xi| + 12
     spec = fiber.FiberSpec("minus", 1.0, 2.0, grid=Grid1D(0.0, 40.0, 8001))
     doubled = fiber.fiber_eigs(spec, 1).values[0]
     assert abs(doubled - base) < 1e-10
@@ -113,15 +113,6 @@ def test_critical_point_at_a0(a0res):
     spec = fiber.FiberSpec("minus", a0res.a0, a0res.a0)
     d_xi, _ = fiber.fiber_eig_derivatives(spec)
     assert abs(d_xi) < 1e-5
-
-
-def test_refinement_guard():
-    spec = fiber.FiberSpec("minus", 1.0, 0.0, grid=Grid1D(0.0, 20.0, 101))
-    with pytest.raises(fiber.GridRefinementError) as err:
-        fiber.fiber_eigs(spec, 1, check_tol=1e-12)
-    assert err.value.n == 101
-    # fine grids pass the same guard at a realistic tolerance
-    fiber.fiber_eigs(fiber.FiberSpec("minus", 1.0, 0.0), 1, check_tol=1e-4)
 
 
 def test_spec_validation():

@@ -18,12 +18,46 @@ def _unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _dead_names(sources):
+    """Module-level functions, classes and assigned names of ``sources``
+    (module name -> source) that no module reads, as a name or an attribute,
+    and that their module does not list in ``__all__``; dunders are exempt."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = []
+    for mod, tree in trees.items():
+        kept = read | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            dead += [(mod, node.lineno, name) for name in targets if name not in kept
+                     and not (name.startswith("__") and name.endswith("__"))]
+    return sorted(dead)
 
 
 def test_unused_import_check_finds_one():
@@ -34,3 +68,16 @@ def test_unused_import_check_finds_one():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_dead_name_check_finds_one():
+    sources = {
+        "a": "__all__ = ['f']\n__version__ = '1'\nLIMIT = 3\ndef f():\n    return b.g()\n"
+             "def nu1():\n    return LIMIT\n",
+        "b": "def g():\n    return 1\nclass Unused:\n    pass\n",
+    }
+    assert _dead_names(sources) == [("a", 6, "nu1"), ("b", 3, "Unused")]
+
+
+def test_no_dead_names():
+    assert _dead_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []

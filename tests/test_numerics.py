@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diracbag import numerics
 from diracbag.numerics import (
     Bracket,
     BracketError,
@@ -176,17 +177,21 @@ def test_any_below_is_count_below_at_least_one():
     assert 0 < sum(got) < len(got)
 
 
-def test_certified_sign_eigensolves_only_in_the_band():
+def test_certified_sign_eigensolves_only_in_the_band(monkeypatch):
     # the 2nd eigenvalue, 2, against levels above, below and at it: only the
-    # level inside the rounding band falls back to the root function
+    # levels inside the rounding band are eigensolved, and give that
+    # eigenvalue minus the level
     m = TridiagSym(np.array([3.0, 1.0, 2.0]), np.zeros(2))
+    lam1, lam2 = (float(v) for v in eig_sym_tridiag(m, 2)[0])
     calls = []
-    signs = [certified_sign(m, x, 2, lambda: calls.append(x) or 0.25)
-             for x in (1.5, 2.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-14)]
-    assert signs == [1.0, -1.0, 1.0, 0.25, 0.25]
-    assert calls == [2.0, 2.0 + 1e-14]
+    monkeypatch.setattr(numerics, "eig_sym_tridiag",
+                        lambda t, k: calls.append(k) or eig_sym_tridiag(t, k))
+    signs = [certified_sign(m, x, 2) for x in (1.5, 2.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-14)]
+    assert signs == [1.0, -1.0, 1.0, lam2 - 2.0, lam2 - (2.0 + 1e-14)]
+    assert calls == [2, 2]
     # k = 1 takes the definiteness pass, with the same band
-    assert [certified_sign(m, x, 1, lambda: 0.25) for x in (0.5, 1.5, 1.0)] == [1.0, -1.0, 0.25]
+    assert [certified_sign(m, x, 1) for x in (0.5, 1.5, 1.0)] == [1.0, -1.0, lam1 - 1.0]
+    assert calls == [2, 2, 1]
 
 
 def test_bisect_sqrt2():
