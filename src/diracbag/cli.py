@@ -196,7 +196,7 @@ def cmd_momenta(args) -> int:
     mom = dispmod.momenta(args.alpha, args.xi, args.n)
     out = _outdir(args)
     name = out / "momenta.csv"
-    rows = [[j, mom.M[j]] for j in range(5)]
+    rows = [[j, mom[j]] for j in range(5)]
     _write_csv(name, _config_dict(args), ["j", "M_j"], rows)
     print(f"wrote {name}")
     return EXIT_OK
@@ -242,6 +242,8 @@ def cmd_disk(args) -> int:
         raise ConfigError("--h needs at least one value")
     if args.pos < 1 or args.neg < 1:
         raise ConfigError(f"--pos and --neg must be >= 1, got {args.pos} and {args.neg}")
+    if args.pos > ckmod.MAX_K:
+        raise ConfigError(f"--pos must be <= {ckmod.MAX_K}, got {args.pos}")
     field = _parse_field(args.B, args.R)
     b0 = float(field.B)  # _parse_field only builds constant fields
     if not b0 > 0:
@@ -410,7 +412,7 @@ def cmd_check(args) -> int:
           f"|a0 - {dispmod.A0_EXACT}| = {abs(res.a0 - dispmod.A0_EXACT):.2e} (grid error < {a0_tol:.1e})")
     check("c0_positive", res.c0 > 0 and res.u0sq < 2 * res.a0)
     mom = dispmod.momenta(res.a0, res.a0, n)
-    check("momentum_M1", abs(mom.M[1] - res.u0sq / 2) < 1e-3 * res.u0sq)
+    check("momentum_M1", abs(mom[1] - res.u0sq / 2) < 1e-3 * res.u0sq)
     w = ckmod.BargmannWeight.isotropic(1.0)
     curve = ckmod.BoundaryCurve.circle(1.0)
     ck1 = ckmod.ck_constant(1, w, curve)

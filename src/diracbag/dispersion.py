@@ -26,7 +26,6 @@ __all__ = [
     "ThetaPoint",
     "NuCurve",
     "A0Result",
-    "Momenta",
     "CXI_SIGN_CONVENTION",
     "theta",
     "nu_of_alpha",
@@ -81,13 +80,6 @@ class A0Result:
     d2xi_nu: float
     c0: float
     grid_n: int
-
-
-@dataclass
-class Momenta:
-    """Moments M_j = int (xi - tau)^j u^2 dtau, j = 0..4."""
-
-    M: np.ndarray
 
 
 def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N) -> ThetaPoint:
@@ -183,8 +175,8 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
         hi += _XI_SCAN_STEP
         g_hi = g(hi)
     xi_a = bisect(g, Bracket(lo, hi, g_lo, g_hi))
-    eig = fiber.fiber_eigs(fiber.FiberSpec("minus", alpha, xi_a, grid=grid))
-    return float(eig.values[0]), xi_a, eig.u0**2
+    nu, u = fiber.fiber_eigs("minus", alpha, xi_a, grid)
+    return nu, xi_a, float(u[0]) ** 2
 
 
 def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
@@ -214,34 +206,26 @@ def find_a0(n: int = fiber.DEFAULT_N) -> A0Result:
     d_xi nu_1^- and nu_1^- + alpha^2 - 2 alpha xi vanish.
     """
     a0 = c_gamma(1.0, n, 1e-8)
-    eig = fiber.fiber_eigs(
-        fiber.FiberSpec("minus", a0, a0, grid=Grid1D(0.0, _truncation(a0), n))
-    )
-    u0sq = eig.u0**2
+    _, u = fiber.fiber_eigs("minus", a0, a0, Grid1D(0.0, _truncation(a0), n))
+    u0sq = float(u[0]) ** 2
     c0 = a0 * u0sq / (2.0 * a0 - u0sq)
     return A0Result(a0=a0, u0sq=u0sq, d2xi_nu=2.0 * a0 * u0sq, c0=c0, grid_n=n)
 
 
 def _ground_state(alpha: float, xi: float, n: int):
     """Ground eigenpair of the minus fiber with sampled derivative."""
-    eig = fiber.fiber_eigs(
-        fiber.FiberSpec("minus", alpha, xi, grid=fiber.default_grid(xi, n=n))
-    )
-    g = eig.grid
-    tau = g.nodes()
-    u = eig.functions[:, 0]
+    g = fiber.default_grid(xi, n)
+    nu, u = fiber.fiber_eigs("minus", alpha, xi, g)
     du = np.gradient(u, g.step, edge_order=2)
     du[0] = (alpha - xi) * u[0]  # Robin relation, exact at the wall
-    return g, tau, u, du, float(eig.values[0])
+    return g, g.nodes(), u, du, nu
 
 
-def momenta(alpha: float, xi: float, n: int = fiber.DEFAULT_N) -> Momenta:
-    """Moments of the normalized ground state against powers of (xi - tau)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+def momenta(alpha: float, xi: float, n: int = fiber.DEFAULT_N) -> np.ndarray:
+    """Moments M_j = int (xi - tau)^j u^2 dtau, j = 0..4, of the normalized
+    ground state."""
     g, tau, u, _, _ = _ground_state(alpha, xi, n)
-    m = np.array([integrate((xi - tau) ** j * u**2, g) for j in range(5)])
-    return Momenta(M=m)
+    return np.array([integrate((xi - tau) ** j * u**2, g) for j in range(5)])
 
 
 def _cxi_apply(tau: np.ndarray, u: np.ndarray, du: np.ndarray, nu: float, xi: float) -> np.ndarray:
@@ -264,16 +248,16 @@ def cxi_pairings(at_a0: A0Result, n: int = fiber.DEFAULT_N) -> Tuple[float, floa
     with d2xi_nu = 2 a0 u(0)^2; dpair is an independent centered difference.
     """
     a0 = at_a0.a0
-    pair0 = _cxi_pair(a0, a0, n)
+    g, tau, u, du, nu = _ground_state(a0, a0, n)
+    xi = a0
+    cu = _cxi_apply(tau, u, du, nu, xi)
+    pair0 = integrate(cu * u, g)
 
     delta = 1e-3
     dpair = (_cxi_pair(a0, a0 + delta, n) - _cxi_pair(a0, a0 - delta, n)) / (2 * delta)
 
-    g, tau, u, du, nu = _ground_state(a0, a0, n)
-    xi = a0
     p1 = xi - tau
     p2 = p1**2
-    cu = _cxi_apply(tau, u, du, nu, xi)
     k0 = (-xi / 2.0 + (2.0 / 3.0) * p1) * u + (
         (2.0 / 3.0) * (1.0 - xi**2) + xi * p1 - p2 / 3.0
     ) * du

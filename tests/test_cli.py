@@ -301,6 +301,7 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["dispersion", "--k", "0"],
     ["dispersion", "--k", "x"],
     ["dispersion", "--n", "2"],
+    ["dispersion", "--branch", "nu-minus", "--alpha", "0"],
     ["momenta", "--alpha", "-1", "--xi", "1"],
     ["constants", "--k", "0"],
     ["constants", "--k", "20"],
@@ -317,6 +318,15 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
 def test_bad_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_disk_pos_above_max_k_fails_before_solving(tmp_path, capsys, monkeypatch):
+    # C_k is defined up to constants.MAX_K = 12; the check must come before
+    # the spectra are solved
+    monkeypatch.setattr(cli.diskmod, "dirac_spectrum",
+                        lambda *a, **kw: pytest.fail("dirac_spectrum was called"))
+    assert run(["disk", "--pos", "13", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: --pos must be <= 12, got 13\n"
 
 
 def test_bare_field_value_reports_the_real_fault(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracbag import dispersion, fiber, numerics
-from diracbag.numerics import Bracket, bisect
+from diracbag.numerics import Bracket, Grid1D, bisect
 
 
 def test_theta_defining_relation():
@@ -256,12 +256,12 @@ def test_momenta_identities(a0res):
     a0, u0sq = a0res.a0, a0res.u0sq
     mom = dispersion.momenta(a0, a0)
     xi = a0
-    assert mom.M[0] == pytest.approx(1.0, abs=1e-12)
-    assert mom.M[1] == pytest.approx(u0sq / 2, rel=1e-3)
-    assert mom.M[2] == pytest.approx((xi**2 - 1) / 2 + xi * u0sq / 4, rel=1e-3)
-    assert mom.M[3] == pytest.approx((xi**2 - 1) * u0sq / 2, rel=1e-3)
+    assert mom[0] == pytest.approx(1.0, abs=1e-12)
+    assert mom[1] == pytest.approx(u0sq / 2, rel=1e-3)
+    assert mom[2] == pytest.approx((xi**2 - 1) / 2 + xi * u0sq / 4, rel=1e-3)
+    assert mom[3] == pytest.approx((xi**2 - 1) * u0sq / 2, rel=1e-3)
     m4 = 3 / 8 + 3 / 8 * (xi**2 - 1) ** 2 + u0sq * (5 * xi**3 - 9 * xi) / 16
-    assert mom.M[4] == pytest.approx(m4, rel=1e-3)
+    assert mom[4] == pytest.approx(m4, rel=1e-3)
 
 
 def test_cxi_pairings(a0res):
@@ -417,6 +417,52 @@ def test_certified_searches_keep_their_pinned_bits(disk_runs):
         sp = disk_runs[h]["spectrum"]
         assert ([v.hex() for v in sp.pos.tolist()], sp.pos_provenance,
                 [v.hex() for v in sp.neg.tolist()], sp.neg_provenance) == pinned
+
+
+# float.hex of the finite-difference paths outside the searches, generated
+# before fiber_eigs lost its spec object: the ground state on the default
+# grid, the whole-line levels of C02, the derivative oracle of C04, a shared
+# nu solve, the moments and the commutator pairings
+PINNED_FD = {
+    "fiber_eigs(2, 0.5)": ["0x1.325db82fc33fep+1", "0x1.05e62ce9b0a5ep-1"],
+    "fiber_eigs(a0, a0)": ["0x1.b981df2e826cdp+0", "0x1.4606b1fda68dep-1"],
+    "whole_line plus": ["-0x1.a36edc095391cp-18", "0x1.fffdf3b4c00fep+0",
+                        "0x1.fffd566a049bdp+1"],
+    "whole_line minus": ["0x1.ffff97244b0e8p+0", "0x1.fffef9da61108p+1",
+                         "0x1.7ffeab3502d24p+2"],
+    "fiber_eig_derivatives": ["-0x1.cd5b0403872e0p-2", "0x1.cd5a52f3faa40p-3"],
+    "nu_values": ["0x1.325d818a18a3cp+1", "0x1.5ddf2b45b1459p+2", "0x1.1b822663ddad0p+3"],
+    "momenta": ["0x1.fffffffffffffp-1", "-0x1.c69c464075744p-2", "0x1.f350ade5da0a3p-2",
+                "-0x1.1de9f2735f429p-1", "0x1.91d729cb0a88fp-1"],
+    "cxi_pairings": ["0x1.6d3a96d989e16p-14", "-0x1.108c7b26178e4p-1",
+                     "0x1.6b570519693a0p-4"],
+}
+
+
+def test_fd_paths_keep_their_pinned_bits(a0res):
+    got = {}
+    for key, (alpha, xi) in (("fiber_eigs(2, 0.5)", (2.0, 0.5)),
+                             ("fiber_eigs(a0, a0)", (a0res.a0, a0res.a0))):
+        nu, u = fiber.fiber_eigs("minus", alpha, xi, fiber.default_grid(xi))
+        got[key] = [nu.hex(), float(u[0]).hex()]
+    for sign in ("plus", "minus"):
+        m = fiber.whole_line_matrix(sign, 0.4, Grid1D(-20.0, 20.0, 4001))
+        got[f"whole_line {sign}"] = [v.hex() for v in numerics.eig_sym_tridiag(m, 3)[0].tolist()]
+    got["fiber_eig_derivatives"] = [v.hex() for v in fiber.fiber_eig_derivatives("minus", 2.0, 1.0)]
+    got["nu_values"] = [v.hex() for v in fiber.nu_values("minus", 3, 2.0, 0.5, 1001)]
+    got["momenta"] = [v.hex() for v in dispersion.momenta(2.0, 0.5, 1001).tolist()]
+    got["cxi_pairings"] = [v.hex() for v in dispersion.cxi_pairings(dispersion.find_a0(1001), 1001)]
+    assert got == PINNED_FD
+
+
+def test_cxi_pairings_eigensolve_count(monkeypatch):
+    # one ground state at (a0, a0) gives pair0 and the final sum; two more
+    # give the centered difference dpair
+    at_a0 = dispersion.find_a0(1001)
+    calls = []
+    _count_eigensolves(monkeypatch, calls)
+    dispersion.cxi_pairings(at_a0, 1001)
+    assert len(calls) == 3
 
 
 def test_c_gamma_small_gamma_is_first_root():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracbag import fiber
-from diracbag.numerics import Grid1D
+from diracbag.numerics import Grid1D, eig_sym_tridiag
 
 
 def test_whole_line_levels():
@@ -18,31 +18,33 @@ def test_whole_line_levels():
 
 
 def test_whole_line_truncated_matches_landau():
-    spec = fiber.FiberSpec("minus", 1.0, 0.3, domain="whole_line",
-                           grid=Grid1D(-20.0, 20.0, 4001))
-    eig = fiber.fiber_eigs(spec, 3)
+    m = fiber.whole_line_matrix("minus", 0.3, Grid1D(-20.0, 20.0, 4001))
+    vals, _ = eig_sym_tridiag(m, 3)
     for k in range(1, 4):
-        assert eig.values[k - 1] == pytest.approx(2.0 * k, abs=5e-4)
+        assert vals[k - 1] == pytest.approx(2.0 * k, abs=5e-4)
+
+
+def _du0(u, step):
+    """One-sided second-order derivative of the samples u at the wall."""
+    return (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * step)
 
 
 def test_ground_state_trace_and_robin_residual(a0res):
     a0 = a0res.a0
-    spec = fiber.FiberSpec("minus", a0, a0)
-    eig = fiber.fiber_eigs(spec, 1)
-    assert eig.values[0] == pytest.approx(a0 * a0, abs=5e-5)
-    assert eig.u0 > 0
+    grid = fiber.default_grid(a0)
+    nu, u = fiber.fiber_eigs("minus", a0, a0, grid)
+    assert nu == pytest.approx(a0 * a0, abs=5e-5)
+    assert u[0] > 0
     # Robin condition du(0) = (alpha - xi) u(0); here alpha = xi
-    step = spec.grid.step
-    assert abs(eig.du0 - 0.0 * eig.u0) <= 10 * step**2
+    assert abs(_du0(u, grid.step) - 0.0 * u[0]) <= 10 * grid.step**2
     # interior positivity of the ground state
-    assert np.all(eig.functions[:-1, 0] > -1e-12)
+    assert np.all(u[:-1] > -1e-12)
 
 
 def test_robin_residual_general():
-    spec = fiber.FiberSpec("minus", 2.0, 0.5)
-    eig = fiber.fiber_eigs(spec, 1)
-    step = spec.grid.step
-    assert abs(eig.du0 - (2.0 - 0.5) * eig.u0) <= 10 * step**2
+    grid = fiber.default_grid(0.5)
+    _, u = fiber.fiber_eigs("minus", 2.0, 0.5, grid)
+    assert abs(_du0(u, grid.step) - (2.0 - 0.5) * u[0]) <= 10 * grid.step**2
 
 
 def test_fiber_limits():
@@ -72,18 +74,15 @@ def test_unimodal_minus_and_increasing_plus():
 
 def test_truncation_stability():
     base = fiber.nu_k("minus", 1, 1.0, 2.0)  # x1 = 20 >= |xi| + 12
-    spec = fiber.FiberSpec("minus", 1.0, 2.0, grid=Grid1D(0.0, 40.0, 8001))
-    doubled = fiber.fiber_eigs(spec, 1).values[0]
+    doubled, _ = fiber.fiber_eigs("minus", 1.0, 2.0, Grid1D(0.0, 40.0, 8001))
     assert abs(doubled - base) < 1e-10
 
 
 def test_derivative_identities_single_point():
     alpha, xi = 2.0, 1.0
-    spec = fiber.FiberSpec("minus", alpha, xi)
-    d_xi, d_alpha = fiber.fiber_eig_derivatives(spec)
-    eig = fiber.fiber_eigs(spec, 1)
-    u0sq = eig.u0**2
-    nu = eig.values[0]
+    d_xi, d_alpha = fiber.fiber_eig_derivatives("minus", alpha, xi)
+    nu, u = fiber.fiber_eigs("minus", alpha, xi, fiber.default_grid(xi))
+    u0sq = u[0] ** 2
     assert abs(d_alpha - u0sq) <= 1e-3 * u0sq
     pred = -(nu + alpha**2 - 2 * alpha * xi) * u0sq
     assert abs(d_xi - pred) <= 1e-3 * abs(pred)
@@ -110,17 +109,17 @@ def test_nu_values_are_the_lowest_nu_k():
 
 
 def test_critical_point_at_a0(a0res):
-    spec = fiber.FiberSpec("minus", a0res.a0, a0res.a0)
-    d_xi, _ = fiber.fiber_eig_derivatives(spec)
+    d_xi, _ = fiber.fiber_eig_derivatives("minus", a0res.a0, a0res.a0)
     assert abs(d_xi) < 1e-5
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        fiber.FiberSpec("sideways", 1.0, 0.0)
-    with pytest.raises(ValueError):
-        fiber.FiberSpec("minus", -1.0, 0.0)
-    with pytest.raises(ValueError):
-        fiber.FiberSpec("minus", 1.0, 0.0, grid=Grid1D(1.0, 21.0, 101))
-    with pytest.raises(ValueError):
-        fiber.fiber_eigs(fiber.FiberSpec("minus", 1.0, 0.0), 0)
+    grid = fiber.default_grid(0.0, 101)
+    with pytest.raises(ValueError, match="sign must be"):
+        fiber.fiber_eigs("sideways", 1.0, 0.0, grid)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        fiber.fiber_eigs("minus", -1.0, 0.0, grid)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        fiber.nu_k("minus", 1, 0.0, 0.0, 101)
+    with pytest.raises(ValueError, match="must start at 0"):
+        fiber.fiber_eigs("minus", 1.0, 0.0, Grid1D(1.0, 21.0, 101))

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,13 @@ def test_dead_name_check_finds_one():
 
 def test_no_dead_names():
     assert _dead_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_exports_exist_once(path):
+    # a stale entry breaks "from module import *"; test_no_dead_names counts
+    # every __all__ entry as used, so it cannot catch one
+    module = importlib.import_module(f"diracbag.{path.stem}")
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(module, name)] == []
