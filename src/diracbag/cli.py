@@ -51,14 +51,18 @@ def _fmt(x) -> str:
 
 
 def _parse_int_range(text: str) -> List[int]:
-    """'1..4' or '1:4' or '1,2,3'."""
+    """'1..4' or '1:4' or '1,2,3'; --k, its only user, must select a value."""
     text = text.strip()
     for sep in ("..", ":"):
-        if sep in text and "," not in text:
-            parts = text.split(sep)
-            if len(parts) == 2:
-                return list(range(int(parts[0]), int(parts[1]) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+        parts = text.split(sep)
+        if "," not in text and len(parts) == 2:
+            ks = list(range(int(parts[0]), int(parts[1]) + 1))
+            break
+    else:
+        ks = [int(t) for t in text.split(",") if t.strip()]
+    if not ks:
+        raise ConfigError(f"--k selects no values, got {text!r}")
+    return ks
 
 
 def _parse_float_list(text: str) -> List[float]:
@@ -238,8 +242,8 @@ def _disk_single_h(args, field: diskmod.RadialField, h: float):
 
 def cmd_disk(args) -> int:
     hs = _parse_float_list(args.h)
-    if not hs:
-        raise ConfigError("--h needs at least one value")
+    if not hs or not all(h > 0 for h in hs):
+        raise ConfigError(f"--h needs one or more positive values, got {args.h!r}")
     if args.pos < 1 or args.neg < 1:
         raise ConfigError(f"--pos and --neg must be >= 1, got {args.pos} and {args.neg}")
     if args.pos > ckmod.MAX_K:
@@ -337,6 +341,8 @@ def cmd_disk(args) -> int:
 
 def cmd_constants(args) -> int:
     ks = _parse_int_range(args.k)
+    if not all(1 <= k <= ckmod.MAX_K for k in ks):
+        raise ConfigError(f"--k must lie in 1..{ckmod.MAX_K}, got {args.k!r}")
     b0 = float(args.B)
     w = ckmod.BargmannWeight.isotropic(b0)
     curve = ckmod.BoundaryCurve.circle(args.R, z_min=complex(args.zmin_re, args.zmin_im))

@@ -65,6 +65,8 @@ class BoundaryCurve:
 
     @classmethod
     def circle(cls, radius: float, z_min: complex = 0.0) -> "BoundaryCurve":
+        if not radius > 0:
+            raise ValueError(f"R must be positive, got {radius}")
         n = 1024
         theta = 2.0 * math.pi * np.arange(n) / n
         pts = radius * np.exp(1j * theta)

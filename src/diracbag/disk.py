@@ -234,6 +234,7 @@ class _ModeOperator:
         kd[:-1] += c * a * a
         kd[1:] += c * b * b
         ko = c * a * b
+        self.first = j0 + 1 if m < 0 else j0  # node index of the first unknown
         if m < 0:  # node j0 is the ghost zero; unknowns start at node j0 + 1
             kd, ko, mass = kd[1:], ko[1:], mass[1:]
 
@@ -251,11 +252,6 @@ class _ModeOperator:
         diag[-1] = (kd + self.h * lam * self.R) / mass
         return TridiagSym(diag, self.off)
 
-    def ell(self, lam: float, k: int) -> np.ndarray:
-        """First k eigenvalues of the form Q_lambda relative to the L2 norm."""
-        vals, _ = eig_sym_tridiag(self.matrix(lam), k)
-        return vals - lam * lam
-
     def ell_sign(self, lam: float, k: int) -> float:
         """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
         return certified_sign(self.matrix(lam), lam * lam, k)
@@ -272,7 +268,8 @@ def mode_ell(
     """ell_1(lambda)..ell_k(lambda) for angular mode m."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return _ModeOperator(spec, m, field_sign, orientation).ell(lam, k)
+    vals, _ = eig_sym_tridiag(_ModeOperator(spec, m, field_sign, orientation).matrix(lam), k)
+    return vals - lam * lam
 
 
 def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
@@ -476,44 +473,34 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
 
     Radial Dirichlet problem per mode m:
         h^2 (-f'' - f'/r + (m/r - A/h)^2 f) +- h B f,  f(R) = 0,
-    with A = phi'.  The plus branch is bounded below by 2 b0 h; the minus
-    branch is exponentially small in 1/h.
+    with A = phi'.  The minus branch is the plus-field form Q_lambda of
+    ``_ModeOperator`` without its wall row and column (f(R) = 0): a sum of
+    squares, so >= 0.  The plus branch adds 2 h B at the operator's nodes and
+    is bounded below by 2 b0 h; the minus branch is exponentially small in 1/h.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    n = spec.rgrid.n
-    delta = spec.rgrid.step
-    h = spec.h
-    nodes, _, c, mass, _ = _radial_cells(spec)
-    bvals = spec.field.samples(nodes)
-    sgn = 1.0 if branch == "plus" else -1.0
-
-    # Dirichlet at R: drop the last node, keep its flux cell
-    stiff = c * (h / delta) ** 2
-    kd = stiff.copy()
-    kd[1:] += stiff[:-1]
-    off = -stiff[:-1] / np.sqrt(mass[:-2] * mass[1:-1])
-    dphi = spec.gauge.dphi_at(nodes)
-    v = [(h * m / nodes - dphi) ** 2 + sgn * h * bvals
-         for m in range(spec.m_range[0], spec.m_range[1] + 1)]
-    mats = [TridiagSym(diag, off) for diag in kd / mass[:-1] + np.array(v)[:, :-1]]
+    cells = _radial_cells(spec)
+    bvals = spec.field.samples(cells[0])
+    mats = []
+    for m in range(spec.m_range[0], spec.m_range[1] + 1):
+        op = _ModeOperator(spec, m, "plus", 1, cells)
+        diag = op.diag[:-1]
+        if branch == "plus":
+            diag = diag + 2.0 * spec.h * bvals[op.first:-1]
+        mats.append(TridiagSym(diag, op.off[:-1]))
 
     # only modes with a value below a threshold holding ``count`` values can
     # contribute; the screen doubles and bisects that threshold, so the fewest
-    # modes are eigensolved
+    # modes are eigensolved, each for at most ``count`` values
     def below(i: int, x: float) -> int:
         return count_below(mats[i], x)
 
-    per_mode_k = min(count + 1, n - 2)
-    allvals: List[float] = []
-    for t, held in zip(mats, _screen(below, len(mats), count, 0.0, h * float(np.max(bvals)), 8)):
-        if held:
-            vals, _ = eig_sym_tridiag(t, per_mode_k)
-            allvals.extend(float(x) for x in vals)
-    allvals.sort()
-    return np.array(allvals[:count])
+    held = _screen(below, len(mats), count, 0.0, spec.h * float(np.max(bvals)), 8)
+    vals = [eig_sym_tridiag(t, min(count, t.n))[0] for t, k in zip(mats, held) if k]
+    return np.sort(np.concatenate(vals))[:count]
 
 
 def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) -> np.ndarray:

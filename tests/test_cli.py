@@ -262,7 +262,7 @@ GOLDEN = {
         "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
-        "72c35354295e0aa37d556b3cbd369599da2420296ce9164a18dc7df140923aad"),
+        "0a7dcaeeb0be68f7fa6536e4d950ce92eef0c36a0e58ca5143413e73630ea70c"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
@@ -305,6 +305,9 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["momenta", "--alpha", "-1", "--xi", "1"],
     ["constants", "--k", "0"],
     ["constants", "--k", "20"],
+    ["constants", "--k", "4..1"],
+    ["constants", "--R", "0"],
+    ["constants", "--R", "-1"],
     ["effective", "--count", "0", "--n-a0", "1001"],
     ["effective", "--h", "-1", "--n-a0", "1001"],
     ["a0", "--n", "2"],
@@ -314,6 +317,8 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["disk", "--neg", "0"],
     ["disk", "--pos", "0"],
     ["disk", "--h", ","],
+    ["disk", "--h", "-0.1"],
+    ["disk", "--h", "0.2,-1"],
 ], ids=" ".join)
 def test_bad_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -327,6 +332,25 @@ def test_disk_pos_above_max_k_fails_before_solving(tmp_path, capsys, monkeypatch
                         lambda *a, **kw: pytest.fail("dirac_spectrum was called"))
     assert run(["disk", "--pos", "13", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "configuration error: --pos must be <= 12, got 13\n"
+
+
+FAIL_FAST = [
+    (["constants", "--k", "1..13"], "--k must lie in 1..12, got '1..13'"),
+    (["constants", "--k", "4..1"], "--k selects no values, got '4..1'"),
+    (["constants", "--R", "0"], "R must be positive, got 0.0"),
+    (["disk", "--h", "0.2,-1"], "--h needs one or more positive values, got '0.2,-1'"),
+]
+
+
+@pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
+def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
+    # C_1..C_12 and the disk spectra must not be computed for a run that fails
+    monkeypatch.setattr(cli.ckmod, "ck_constant",
+                        lambda *a, **kw: pytest.fail("ck_constant was called"))
+    monkeypatch.setattr(cli.diskmod, "dirac_spectrum",
+                        lambda *a, **kw: pytest.fail("dirac_spectrum was called"))
+    assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {err}\n"
 
 
 def test_bare_field_value_reports_the_real_fault(tmp_path, capsys):

@@ -298,6 +298,49 @@ def test_zigzag_minus_exponentially_small(unit_field):
     assert a1 == pytest.approx(math.exp(-2.5), rel=0.12)
 
 
+# first three minus-branch zigzag values of the unit disk, B = 1: exact
+# alpha^- = h (|m| - m - 2 a) with a a root of M(a, |m| + 1, 1 / (2 h)) = 0
+# (Kummer), from 40-digit mpmath
+ZIGZAG_EXACT = {
+    0.2: [0.083950787083780677652, 0.26912151951128276851, 0.55617456658751439954],
+    0.1: [0.0054946079992477422646, 0.024348642348414841734, 0.061636386732216792603],
+    0.05: [4.0213351693631224225e-5, 3.5041085064138026213e-4, 1.5164579335396658367e-3],
+}
+
+
+def test_zigzag_matches_exact_kummer_values(unit_field):
+    ground_err = {}
+    for h, exact in ZIGZAG_EXACT.items():
+        spec = disk.DiskSpec.make(unit_field, h, n=2001)
+        minus = disk.zigzag_spectrum(spec, "minus", 3)
+        plus = disk.zigzag_spectrum(spec, "plus", 3)
+        assert np.all(np.abs(minus / exact - 1) <= 2.5e-5)  # 1.1e-5 measured at h = 0.05
+        assert np.all(np.abs(plus / (np.array(exact) + 2 * h) - 1) <= 1e-6)
+    # the minus ground value's grid error is O(step^2)
+    for n in (1001, 2001):
+        spec = disk.DiskSpec.make(unit_field, 0.05, n=n)
+        ground_err[n] = abs(disk.zigzag_spectrum(spec, "minus", 1)[0] / ZIGZAG_EXACT[0.05][0] - 1)
+    assert 3 <= ground_err[1001] / ground_err[2001] <= 5
+
+
+# zigzag values for B = 1 + r^2 on the unit disk at n = 2001, from the
+# separate Dirichlet assembly the mode form replaced
+ZIGZAG_VARFIELD = {
+    (0.2, "plus"): [0.5407356609709584, 0.7375850787200335, 1.0098233613577436],
+    (0.2, "minus"): [0.06291258156649142, 0.21099810310412584, 0.4503056314659185],
+    (0.1, "plus"): [0.23202109147039224, 0.2657569323117226, 0.30636369698569554],
+    (0.1, "minus"): [0.002518984048039895, 0.012568090354125584, 0.03503765958833632],
+}
+
+
+def test_zigzag_variable_field():
+    field = disk.RadialField(lambda r: 1.0 + r**2, 1.0)
+    for (h, branch), before in ZIGZAG_VARFIELD.items():
+        vals = disk.zigzag_spectrum(disk.DiskSpec.make(field, h, n=2001), branch, 3)
+        assert np.all(vals >= (2 * h if branch == "plus" else 0.0))  # min B = 1
+        assert np.all(np.abs(vals / before - 1) <= 1e-5)  # 3.6e-6 measured
+
+
 def test_oracle_against_minmax_roots(unit_field):
     spec = disk.DiskSpec.make(unit_field, 0.1, n=2001)
     with warnings.catch_warnings():
