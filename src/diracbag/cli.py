@@ -344,6 +344,8 @@ def cmd_constants(args) -> int:
     if not all(1 <= k <= ckmod.MAX_K for k in ks):
         raise ConfigError(f"--k must lie in 1..{ckmod.MAX_K}, got {args.k!r}")
     b0 = float(args.B)
+    if not b0 > 0:
+        raise ConfigError(f"--B must be positive, got {args.B}")
     w = ckmod.BargmannWeight.isotropic(b0)
     curve = ckmod.BoundaryCurve.circle(args.R, z_min=complex(args.zmin_re, args.zmin_im))
     rows = []
@@ -363,17 +365,24 @@ def cmd_constants(args) -> int:
 
 
 def cmd_effective(args) -> int:
+    for flag, value in (("--R", args.R), ("--h", args.h), ("--L", args.L)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.area is not None and not args.area >= 0:
+        raise ConfigError(f"--area must be >= 0, got {args.area}")
+    for flag, value in (("--L", args.L), ("--area", args.area)):
+        if value is not None and not args.kappa:
+            raise ConfigError(f"{flag} applies only with --kappa")
     out = _outdir(args)
     a0res = dispmod.find_a0(args.n_a0)
     if args.kappa:
         samples = np.loadtxt(args.kappa, delimiter=",", ndmin=1)
-        L = args.L if args.L else 2 * math.pi * args.R
-        area = args.area if args.area else math.pi * args.R**2
+        L = 2 * math.pi * args.R if args.L is None else args.L
+        area = math.pi * args.R**2 if args.area is None else args.area
         spec = effmod.EffSpec(
-            L=L,
-            t_h=effmod.flux_th(area, L, args.h, a0res.a0),
-            kappa=samples, cutoff=max(64, 4 * args.count + 16),
-        )
+            L=L, t_h=effmod.flux_th(area, L, args.h, a0res.a0), kappa=samples)
         eff = effmod.qeff_general(spec, args.count)
         shifted = dataclasses.replace(spec, t_h=spec.t_h + 2 * math.pi / L)
         gauge_err = float(np.max(np.abs(

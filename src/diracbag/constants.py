@@ -9,7 +9,6 @@ z^{k-1} to the lower-degree polynomials.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,6 +66,8 @@ class BoundaryCurve:
     def circle(cls, radius: float, z_min: complex = 0.0) -> "BoundaryCurve":
         if not radius > 0:
             raise ValueError(f"R must be positive, got {radius}")
+        if not abs(z_min) < radius:
+            raise ValueError(f"need |z_min| < R, got |z_min| = {abs(z_min)}, R = {radius}")
         n = 1024
         theta = 2.0 * math.pi * np.arange(n) / n
         pts = radius * np.exp(1j * theta)
@@ -82,70 +83,30 @@ class CkResult:
     Ck: float
 
 
-def _gaussian_1d_moments(c: float, pmax: int) -> np.ndarray:
-    """int v^p e^{-c v^2} dv for p = 0..pmax (odd moments vanish)."""
-    out = np.zeros(pmax + 1)
-    out[0] = math.sqrt(math.pi / c)
-    for p in range(2, pmax + 1, 2):
-        out[p] = out[p - 2] * (p - 1) / (2.0 * c)
-    return out
-
-
-def _bargmann_gram(kdim: int, w: BargmannWeight) -> np.ndarray:
-    """Gram matrix G[a, b] = <z^a, z^b> under the Gaussian weight.
-
-    The Hessian is rotated to principal axes (z picks up a phase only), and
-    each monomial moment reduces to products of 1D Gaussian moments.
-    """
-    evals, evecs = np.linalg.eigh(w.hess)
-    if np.linalg.det(evecs) < 0:
-        evecs = evecs[:, ::-1]
-        evals = evals[::-1]
-    phase = math.atan2(evecs[1, 0], evecs[0, 0])
-    d1, d2 = float(evals[0]), float(evals[1])
-    pmax = 2 * (kdim - 1)
-    m1 = _gaussian_1d_moments(d1, pmax)
-    m2 = _gaussian_1d_moments(d2, pmax)
-
-    # I[a, b] = int (v1 + i v2)^a (v1 - i v2)^b e^{-d1 v1^2 - d2 v2^2} dv
-    gram = np.zeros((kdim, kdim), dtype=complex)
-    for a in range(kdim):
-        for b in range(kdim):
-            acc = 0.0 + 0.0j
-            for p in range(a + 1):
-                for q in range(b + 1):
-                    # v1^{p+q} * (i v2)^{a-p} * (-i v2)^{b-q}
-                    deg1 = p + q
-                    deg2 = (a - p) + (b - q)
-                    if deg1 % 2 or deg2 % 2:
-                        continue
-                    coef = (
-                        math.comb(a, p)
-                        * math.comb(b, q)
-                        * (1j) ** (a - p)
-                        * (-1j) ** (b - q)
-                    )
-                    acc += coef * m1[deg1] * m2[deg2]
-            # inner product is conj-linear in the first slot: <z^a, z^b> = I[b, a]*
-            gram[a, b] = acc * cmath.exp(1j * (b - a) * phase)
-    return gram
+def _residual2(gram: np.ndarray, cross: np.ndarray, norm2: float) -> float:
+    """Squared distance to a span from Gram data: norm2 - Re<cross, gram^-1 cross>."""
+    return max(norm2 - float(np.vdot(cross, np.linalg.solve(gram, cross)).real), 0.0)
 
 
 def bargmann_distance(k: int, w: BargmannWeight) -> float:
-    """Distance of z^{k-1} to the span of 1..z^{k-2} in the Gaussian norm."""
+    """Distance of z^{k-1} to the span of 1..z^{k-2} in the Gaussian norm.
+
+    The Gram entries <z^a, z^b> have degree <= 2(k - 1) in each principal
+    coordinate v_i = x / sqrt(d_i), in which exp(-Hess(y, y)) dy becomes
+    exp(-|x|^2) dx / sqrt(d_1 d_2), so k Gauss-Hermite nodes per axis are exact.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if k > MAX_K:
         raise ValueError(f"Gram matrix ill-conditioned for k={k} > {MAX_K}")
-    gram = _bargmann_gram(k, w)
-    head = gram[: k - 1, : k - 1]
-    cross = gram[: k - 1, k - 1]
-    norm2 = gram[k - 1, k - 1].real
-    if k == 1:
-        return math.sqrt(norm2)
-    coeffs = np.linalg.solve(head, cross)
-    resid2 = norm2 - float(np.real(np.vdot(cross, coeffs)))
-    return math.sqrt(max(resid2, 0.0))
+    d, axes = np.linalg.eigh(w.hess)
+    x, wx = np.polynomial.hermite.hermgauss(k)
+    v = np.meshgrid(x / math.sqrt(d[0]), x / math.sqrt(d[1]), indexing="ij")
+    y = np.tensordot(axes, v, axes=1)  # back from the eigen-axes
+    weights = np.outer(wx, wx).ravel() / math.sqrt(d[0] * d[1])
+    P = (y[0] + 1j * y[1]).reshape(-1, 1) ** np.arange(k)  # z^0..z^{k-1} at the nodes
+    gram = (P.conj().T * weights) @ P
+    return math.sqrt(_residual2(gram[:-1, :-1], gram[:-1, -1], gram[-1, -1].real))
 
 
 def _hardy_residual(k: int, curve: BoundaryCurve, n_basis: int) -> float:
@@ -162,9 +123,7 @@ def _hardy_residual(k: int, curve: BoundaryCurve, n_basis: int) -> float:
     rhs = basis.conj().T @ (w * target)
     norm2 = float(np.sum(w * np.abs(target) ** 2))
     gram += 1e-13 * np.eye(degs.size) * np.trace(gram).real / degs.size
-    coeffs = np.linalg.solve(gram, rhs)
-    resid2 = norm2 - float(np.real(np.vdot(rhs, coeffs)))
-    return max(resid2, 0.0) * scale ** (2 * (k - 1))
+    return _residual2(gram, rhs, norm2) * scale ** (2 * (k - 1))
 
 
 def hardy_distance(k: int, curve: BoundaryCurve) -> float:

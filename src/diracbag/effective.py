@@ -36,7 +36,7 @@ __all__ = [
 
 
 class CutoffError(RuntimeError):
-    """Fourier cutoff too small for the requested eigenvalue count."""
+    """kappa has Fourier content beyond the Galerkin cutoff."""
 
 
 @dataclass
@@ -50,17 +50,15 @@ class EffSpec:
     L: float
     t_h: float
     kappa: Union[float, Callable[[np.ndarray], np.ndarray], np.ndarray]
-    cutoff: int = 64
 
     @classmethod
-    def disk(cls, R: float, h: float, a0: float, cutoff: int = 64) -> "EffSpec":
+    def disk(cls, R: float, h: float, a0: float) -> "EffSpec":
         L = 2.0 * math.pi * R
         area = math.pi * R * R
         return cls(
             L=L,
             t_h=flux_th(area, L, h, a0),
             kappa=1.0 / R,
-            cutoff=cutoff,
         )
 
 
@@ -126,15 +124,13 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """Fourier-Galerkin spectrum of (D_s + t_h)^2 - kappa^2 / 12.
 
     Momentum modes 2 pi m / L are exactly diagonal; only kappa^2/12 couples
-    them, through its Toeplitz matrix of Fourier coefficients.  The values
-    are checked against a solve at cutoff + 8.
+    them, through its Toeplitz matrix of Fourier coefficients.  The modes
+    |m| <= max(64, 4 count + 16) are kept, and the values are checked
+    against a solve with 8 more on each side.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    if spec.cutoff < 4 * count + 16:
-        raise ValueError(
-            f"cutoff {spec.cutoff} too small; need >= {4 * count + 16} for count={count}"
-        )
+    cutoff = max(64, 4 * count + 16)
 
     def solve(cutoff: int) -> np.ndarray:
         modes = np.arange(-cutoff, cutoff + 1)
@@ -147,13 +143,13 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
         vals = np.linalg.eigvalsh(mat)
         return vals[:count]
 
-    vals = solve(spec.cutoff)
-    ref = solve(spec.cutoff + 8)
+    vals = solve(cutoff)
+    ref = solve(cutoff + 8)
     err = float(np.max(np.abs(vals - ref)))
     if err > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
         raise CutoffError(
-            f"eigenvalues changed by {err:.3e} under cutoff refinement; "
-            f"increase cutoff beyond {spec.cutoff}"
+            f"eigenvalues changed by {err:.3e} from cutoff {cutoff} to {cutoff + 8}: "
+            "kappa has Fourier content beyond the Galerkin cutoff"
         )
     return EffSpectrum(values=vals, m_sequence=None)
 

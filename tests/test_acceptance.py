@@ -216,9 +216,9 @@ def test_c15_constants_closed_forms():
 
 
 def test_c16_effective_operator():
-    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547, cutoff=48)
+    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     base = effective.qeff_general(spec, 4).values
-    shifted = effective.EffSpec.disk(1.0, 0.1, 1.3132547, cutoff=48)
+    shifted = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     shifted.t_h = spec.t_h + 2 * math.pi / spec.L
     dev_gauge = float(np.max(np.abs(effective.qeff_general(shifted, 4).values - base)))
     dev_disk = float(np.max(np.abs(base - effective.qeff_disk(spec.t_h, 1.0, 4).values)))

@@ -206,6 +206,19 @@ def test_effective_command_kappa_file(tmp_path):
     assert err < 1e-10
 
 
+def test_effective_kappa_area_is_read_when_zero(tmp_path, monkeypatch):
+    # --area 0 is a value (t_h loses its area term), not "use the disk default"
+    monkeypatch.chdir(tmp_path)
+    s = np.arange(256) / 256 * 2 * math.pi
+    np.savetxt("kappa.csv", 1.0 + 0.2 * np.cos(s), delimiter=",")
+    digests = []
+    for extra in ([], ["--area", repr(math.pi)], ["--area", "0"]):
+        assert run(["effective", "--kappa", "kappa.csv", "--count", "3", "--n-a0", "1001",
+                    "--out", "out"] + extra) == 0
+        digests.append(read_csv(tmp_path / "out" / "effective.csv")[0]["sha256"])
+    assert digests[0] == digests[1] != digests[2]
+
+
 def test_disk_command(tmp_path):
     out = tmp_path / "disk"
     code = run(["disk", "--B", "const:1", "--R", "1", "--h", "0.25",
@@ -250,7 +263,7 @@ GOLDEN = {
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),
     "constants.csv": (
         ["constants", "--B", "1", "--R", "1", "--k", "1..4"],
-        "a802d1fe3172de3b0745657165157adf8551bd3f31d1686c458383ca3a649d95"),
+        "26f17ee2d36d7e36f69c324355f9971dc3800719860f8eb42434e7cf6083f849"),
     "a0.json": (
         ["a0", "--n", "1001"],
         "10514f203044b373134de680d233387dbf1424a38c4d4252d49e51aa820259e5"),
@@ -262,7 +275,7 @@ GOLDEN = {
         "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
-        "0a7dcaeeb0be68f7fa6536e4d950ce92eef0c36a0e58ca5143413e73630ea70c"),
+        "250be3c288f23fc6ff07a33ed57608ee193396d1d47fcb82c90e195ae44c26a4"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
@@ -308,8 +321,19 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["constants", "--k", "4..1"],
     ["constants", "--R", "0"],
     ["constants", "--R", "-1"],
+    ["constants", "--B", "0"],
+    ["constants", "--B", "-1"],
+    ["constants", "--zmin-re", "1.5"],
+    ["constants", "--zmin-re", "1.0"],
     ["effective", "--count", "0", "--n-a0", "1001"],
     ["effective", "--h", "-1", "--n-a0", "1001"],
+    ["effective", "--h", "0"],
+    ["effective", "--R", "0"],
+    ["effective", "--L", "5"],
+    ["effective", "--area", "1"],
+    ["effective", "--kappa", "kappa.csv", "--L", "0"],
+    ["effective", "--kappa", "kappa.csv", "--L", "-1"],
+    ["effective", "--kappa", "kappa.csv", "--area", "-1"],
     ["a0", "--n", "2"],
     ["disk", "--R", "0"],
     ["disk", "--B", "1", "--R", "0"],
@@ -339,12 +363,25 @@ FAIL_FAST = [
     (["constants", "--k", "4..1"], "--k selects no values, got '4..1'"),
     (["constants", "--R", "0"], "R must be positive, got 0.0"),
     (["disk", "--h", "0.2,-1"], "--h needs one or more positive values, got '0.2,-1'"),
+    (["constants", "--B", "0"], "--B must be positive, got 0.0"),
+    (["constants", "--zmin-re", "1.5"], "need |z_min| < R, got |z_min| = 1.5, R = 1.0"),
+    (["constants", "--zmin-re", "0.6", "--zmin-im", "0.8"],
+     "need |z_min| < R, got |z_min| = 1.0, R = 1.0"),
+    (["effective", "--R", "0"], "--R must be positive, got 0.0"),
+    (["effective", "--h", "0"], "--h must be positive, got 0.0"),
+    (["effective", "--count", "0"], "--count must be >= 1, got 0"),
+    (["effective", "--L", "5"], "--L applies only with --kappa"),
+    (["effective", "--area", "1"], "--area applies only with --kappa"),
+    (["effective", "--kappa", "kappa.csv", "--L", "0"], "--L must be positive, got 0.0"),
+    (["effective", "--kappa", "kappa.csv", "--area", "-1"], "--area must be >= 0, got -1.0"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
 def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
-    # C_1..C_12 and the disk spectra must not be computed for a run that fails
+    # a0, C_1..C_12 and the disk spectra must not be computed for a run that fails
+    monkeypatch.setattr(cli.dispmod, "find_a0",
+                        lambda *a, **kw: pytest.fail("find_a0 was called"))
     monkeypatch.setattr(cli.ckmod, "ck_constant",
                         lambda *a, **kw: pytest.fail("ck_constant was called"))
     monkeypatch.setattr(cli.diskmod, "dirac_spectrum",

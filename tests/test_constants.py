@@ -11,13 +11,59 @@ def closed_form_ck(k: int, b0: float, R: float) -> float:
     return b0**k / math.factorial(k - 1) * (R**2 / 2) ** (k - 1) * R
 
 
+def rotated(theta: float, hess: np.ndarray) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ hess @ rot.T
+
+
 def test_bargmann_isotropic_closed_form():
-    for b0 in (1.0, 2.0):
+    for b0 in (1.0, 2.0, 0.95):
         w = ck.BargmannWeight.isotropic(b0)
-        for k in (1, 2, 3, 4):
+        for k in range(1, ck.MAX_K + 1):
             d2 = ck.bargmann_distance(k, w) ** 2
             expected = 2 * math.pi * 2 ** (k - 1) * math.factorial(k - 1) / b0**k
-            assert d2 == pytest.approx(expected, rel=1e-12)
+            assert d2 == pytest.approx(expected, rel=1e-13)
+
+
+# bargmann_distance(k, w) for k = 1..12 from the binomial-expansion Gram
+# matrix that the Gauss-Hermite rule replaced; w = diag(1, 2) and
+# R(theta) diag(1, 3) R(theta)^T
+PINNED_BARGMANN = {
+    "diag(1, 2)": [
+        1.4904500894290902, 1.2907676405183803, 1.5808610478831087,
+        2.371291571824663, 4.10719748196018, 7.953553723608408, 16.872035317485064,
+        38.65868948517177, 94.69406336336831, 246.022393380751, 673.7600725302309,
+        1935.228472692982,
+    ],
+    "theta=0": [
+        1.3467736870885982, 1.0996361107912678, 1.2697504091519431,
+        1.7956982494514644, 2.9323629621100475, 5.353737803801132,
+        10.70747560760226, 23.130790982465808, 53.4182736011824,
+        130.84751326328208, 337.84682650756497, 914.8935311439267,
+    ],
+    "theta=0.3": [
+        1.3467736870885985, 1.0996361107912678, 1.2697504091519434,
+        1.7956982494514644, 2.9323629621100484, 5.3537378038011285,
+        10.707475607602273, 23.130790982465808, 53.418273601182605,
+        130.8475132632831, 337.8468265075653, 914.8935311439614,
+    ],
+    "theta=1.1": [
+        1.3467736870885982, 1.0996361107912676, 1.269750409151943,
+        1.795698249451464, 2.9323629621100458, 5.353737803801129,
+        10.707475607602266, 23.1307909824658, 53.41827360118254,
+        130.84751326328154, 337.84682650756395, 914.8935311439125,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BARGMANN))
+def test_bargmann_matches_pinned_values(name):
+    hess = (np.diag([1.0, 2.0]) if name.startswith("diag")
+            else rotated(float(name.split("=")[1]), np.diag([1.0, 3.0])))
+    w = ck.BargmannWeight(hess)
+    for k, want in enumerate(PINNED_BARGMANN[name], start=1):
+        assert ck.bargmann_distance(k, w) == pytest.approx(want, rel=1e-13)
 
 
 def test_bargmann_anisotropic_against_quadrature():
@@ -70,6 +116,13 @@ def test_hardy_disk_closed_form():
         for k in (1, 2, 3, 4):
             d2 = ck.hardy_distance(k, curve) ** 2
             assert d2 == pytest.approx(2 * math.pi * R ** (2 * k - 1), rel=1e-10)
+
+
+def test_circle_needs_interior_z_min():
+    for z_min in (1.0, 1.5, 0.6 + 0.8j):
+        with pytest.raises(ValueError, match=r"need \|z_min\| < R"):
+            ck.BoundaryCurve.circle(1.0, z_min=z_min)
+    assert ck.BoundaryCurve.circle(2.0, z_min=1.5).z_min == 1.5
 
 
 def test_hardy_shifted_center_converges():

@@ -50,16 +50,16 @@ def test_qeff_disk_greedy_is_global_min():
 
 def test_qeff_general_matches_disk():
     for R in (1.0, 2.0):
-        spec = effective.EffSpec.disk(R, 0.1, 1.3132547, cutoff=48)
+        spec = effective.EffSpec.disk(R, 0.1, 1.3132547)
         got = effective.qeff_general(spec, 4)
         want = effective.qeff_disk(spec.t_h, R, 4)
         assert np.max(np.abs(got.values - want.values)) < 1e-10
 
 
 def test_gauge_periodicity_both_routes():
-    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547, cutoff=48)
+    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     base = effective.qeff_general(spec, 4)
-    shifted = effective.EffSpec.disk(1.0, 0.1, 1.3132547, cutoff=48)
+    shifted = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     shifted.t_h = spec.t_h + 2 * math.pi / spec.L
     moved = effective.qeff_general(shifted, 4)
     assert np.max(np.abs(base.values - moved.values)) < 1e-10
@@ -80,7 +80,7 @@ def test_qeff_general_variable_kappa_against_fd():
     def kappa(s):
         return 1.0 + 0.3 * np.cos(2 * np.pi * s / L) + 0.1 * np.sin(4 * np.pi * s / L)
 
-    spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa, cutoff=48)
+    spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa)
     got = effective.qeff_general(spec, 4)
 
     n = 8192
@@ -102,7 +102,7 @@ def test_qeff_general_variable_kappa_against_fd():
 
 
 def test_qeff_boundedness_over_flux():
-    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547, cutoff=48)
+    spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     for t in np.linspace(0.0, 1.0, 7):
         spec.t_h = t
         vals = effective.qeff_general(spec, 4).values
@@ -110,9 +110,13 @@ def test_qeff_boundedness_over_flux():
         assert np.all(np.abs(vals) <= bound)
 
 
-def test_qeff_cutoff_validation():
-    spec = effective.EffSpec.disk(1.0, 0.1, 1.31, cutoff=8)
-    with pytest.raises(ValueError):
+def test_qeff_cutoff_error_on_unresolved_kappa():
+    # kappa^2/12 couples mode 0 to modes +-65: beyond the cutoff
+    # max(64, 4 count + 16) = 64, inside the check with 8 more modes
+    s = 2 * math.pi * np.arange(1024) / 1024
+    spec = effective.EffSpec(L=2 * math.pi, t_h=0.37, kappa=1.0 + 0.5 * np.cos(65 * s))
+    with pytest.raises(effective.CutoffError,
+                       match=r"changed by 8\.2\d*e-07 .*Fourier content beyond the Galerkin cutoff"):
         effective.qeff_general(spec, 4)
 
 
