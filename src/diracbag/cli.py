@@ -209,14 +209,13 @@ def cmd_momenta(args) -> int:
 # ----------------------------------------------------------------------- disk
 
 
-def _disk_single_h(args, field: diskmod.RadialField, h: float):
+def _disk_single_h(args, spec: diskmod.DiskSpec):
     """One h of the disk sweep."""
-    spec = diskmod.DiskSpec.make(field, h, n=args.n)
     count = max(args.pos, args.neg)
     sp = diskmod.dirac_spectrum(spec, count)
     nus = diskmod.hardy_nu_k(spec, args.pos)
     result = {
-        "h": h,
+        "h": spec.h,
         "pos": sp.pos[:args.pos],
         "neg": sp.neg[:args.neg],
         "pos_prov": sp.pos_provenance[:args.pos],
@@ -227,7 +226,7 @@ def _disk_single_h(args, field: diskmod.RadialField, h: float):
     if args.zigzag:
         result["zigzag_plus"] = diskmod.zigzag_spectrum(spec, "plus", 3)
         result["zigzag_minus"] = diskmod.zigzag_spectrum(spec, "minus", 3)
-        result["b0"] = float(np.min(field.samples(spec.rgrid.nodes())))
+        result["b0"] = float(np.min(spec.field.samples(spec.rgrid.nodes())))
     if args.oracle:
         m, k = sp.neg_provenance[0]
         with warnings.catch_warnings():
@@ -252,13 +251,19 @@ def cmd_disk(args) -> int:
     b0 = float(field.B)  # _parse_field only builds constant fields
     if not b0 > 0:
         raise ConfigError(f"--B must be positive, got {_fmt(b0)}")
+    specs = [diskmod.DiskSpec.make(field, h, n=args.n) for h in hs]
+    for spec in specs:
+        try:
+            diskmod.check_grid(spec)
+        except ValueError as exc:
+            raise ConfigError(f"--n {args.n} is too coarse for h={spec.h}: {exc}") from None
     out = _outdir(args)
     results, errors = [], []
-    for h in hs:
+    for spec in specs:
         try:
-            results.append(_disk_single_h(args, field, h))
+            results.append(_disk_single_h(args, spec))
         except Exception as exc:  # row-level isolation
-            errors.append((h, f"{type(exc).__name__}: {exc}"))
+            errors.append((spec.h, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: -r["h"])
 
     a0res = dispmod.find_a0(args.n_a0)
@@ -375,10 +380,14 @@ def cmd_effective(args) -> int:
     for flag, value in (("--L", args.L), ("--area", args.area)):
         if value is not None and not args.kappa:
             raise ConfigError(f"{flag} applies only with --kappa")
+    if args.kappa:
+        try:
+            samples = np.loadtxt(args.kappa, delimiter=",", ndmin=1)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --kappa file: {exc}") from None
     out = _outdir(args)
     a0res = dispmod.find_a0(args.n_a0)
     if args.kappa:
-        samples = np.loadtxt(args.kappa, delimiter=",", ndmin=1)
         L = 2 * math.pi * args.R if args.L is None else args.L
         area = math.pi * args.R**2 if args.area is None else args.area
         spec = effmod.EffSpec(
@@ -595,7 +604,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:  # ModeRangeError, TruncationError, CutoffError too
+    except RuntimeError as exc:  # ModeRangeError and CutoffError too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -42,6 +42,7 @@ __all__ = [
     "DiracSpectrum",
     "ModeRangeError",
     "radial_phi",
+    "check_grid",
     "mode_ell",
     "mode_E",
     "dirac_spectrum",
@@ -255,6 +256,14 @@ class _ModeOperator:
     def ell_sign(self, lam: float, k: int) -> float:
         """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
         return certified_sign(self.matrix(lam), lam * lam, k)
+
+
+def check_grid(spec: DiskSpec) -> None:
+    """Raise ValueError unless the radial grid resolves every mode of the
+    window on both branches; the end modes carry the largest centrifugal term."""
+    for m in spec.m_range:
+        for field_sign in ("plus", "minus"):
+            _ModeOperator(spec, m, field_sign)
 
 
 def mode_ell(

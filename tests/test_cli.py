@@ -179,6 +179,19 @@ def test_constants_command(tmp_path):
     assert got == pytest.approx([1.0, 0.5, 0.125, 1.0 / 48.0], rel=1e-8)
 
 
+@pytest.mark.parametrize("z_min", [["--zmin-re", "0.5"], ["--zmin-re", "0.9"],
+                                   ["--zmin-re", "0.99"], ["--zmin-re", "0.3", "--zmin-im", "0.4"]],
+                         ids=" ".join)
+def test_constants_z_min_anywhere_inside(tmp_path, z_min):
+    assert run(["constants", "--R", "2", "--k", "1..6", "--out", str(tmp_path)] + z_min) == 0
+    a = abs(complex(*map(float, z_min[1::2]))) / 2.0
+    _, _, rows = read_csv(tmp_path / "constants.csv")
+    for row in rows:
+        k = int(row[0])
+        exact = math.sqrt(2 * math.pi * 2.0 ** (2 * k - 1) * (1 - a * a) ** (2 * k - 1))
+        assert float(row[1]) == pytest.approx(exact, rel=1e-14)
+
+
 def test_effective_command_disk(tmp_path):
     out = tmp_path / "eff"
     assert run(["effective", "--R", "1", "--h", "0.1",
@@ -263,7 +276,7 @@ GOLDEN = {
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),
     "constants.csv": (
         ["constants", "--B", "1", "--R", "1", "--k", "1..4"],
-        "26f17ee2d36d7e36f69c324355f9971dc3800719860f8eb42434e7cf6083f849"),
+        "b9932aeb36ddbccd8e84e967290fa364878c3dd17204bebb68104bdd8b0d8d17"),
     "a0.json": (
         ["a0", "--n", "1001"],
         "10514f203044b373134de680d233387dbf1424a38c4d4252d49e51aa820259e5"),
@@ -275,7 +288,7 @@ GOLDEN = {
         "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
-        "250be3c288f23fc6ff07a33ed57608ee193396d1d47fcb82c90e195ae44c26a4"),
+        "119b9b9e639b1b7d5ebfaa662e8ba6624e89e25af544a1a7c119890164dd6efb"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
@@ -317,7 +330,7 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["dispersion", "--branch", "nu-minus", "--alpha", "0"],
     ["momenta", "--alpha", "-1", "--xi", "1"],
     ["constants", "--k", "0"],
-    ["constants", "--k", "20"],
+    ["constants", "--k", str(cli.ckmod.MAX_K + 1)],
     ["constants", "--k", "4..1"],
     ["constants", "--R", "0"],
     ["constants", "--R", "-1"],
@@ -349,17 +362,21 @@ def test_bad_input_is_config_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+MAX_K = cli.ckmod.MAX_K
+
+
 def test_disk_pos_above_max_k_fails_before_solving(tmp_path, capsys, monkeypatch):
-    # C_k is defined up to constants.MAX_K = 12; the check must come before
+    # C_k is defined up to constants.MAX_K; the check must come before
     # the spectra are solved
     monkeypatch.setattr(cli.diskmod, "dirac_spectrum",
                         lambda *a, **kw: pytest.fail("dirac_spectrum was called"))
-    assert run(["disk", "--pos", "13", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "configuration error: --pos must be <= 12, got 13\n"
+    assert run(["disk", "--pos", str(MAX_K + 1), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: --pos must be <= {MAX_K}, got {MAX_K + 1}\n")
 
 
 FAIL_FAST = [
-    (["constants", "--k", "1..13"], "--k must lie in 1..12, got '1..13'"),
+    (["constants", "--k", f"1..{MAX_K + 1}"], f"--k must lie in 1..{MAX_K}, got '1..{MAX_K + 1}'"),
     (["constants", "--k", "4..1"], "--k selects no values, got '4..1'"),
     (["constants", "--R", "0"], "R must be positive, got 0.0"),
     (["disk", "--h", "0.2,-1"], "--h needs one or more positive values, got '0.2,-1'"),
@@ -374,12 +391,17 @@ FAIL_FAST = [
     (["effective", "--area", "1"], "--area applies only with --kappa"),
     (["effective", "--kappa", "kappa.csv", "--L", "0"], "--L must be positive, got 0.0"),
     (["effective", "--kappa", "kappa.csv", "--area", "-1"], "--area must be >= 0, got -1.0"),
+    (["effective", "--kappa", "missing.csv"], "cannot read --kappa file: missing.csv not found."),
+    (["disk", "--n", "5", "--h", "0.2"], "--n 5 is too coarse for h=0.2: mode m=-15 "
+     "unresolvable on this grid (centrifugal cut at 4/5)"),
+    (["disk", "--h", "0.2,0.01", "--n", "301"], "--n 301 is too coarse for h=0.01: mode m=-300 "
+     "unresolvable on this grid (centrifugal cut at 300/301)"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
 def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
-    # a0, C_1..C_12 and the disk spectra must not be computed for a run that fails
+    # a0, the C_k and the disk spectra must not be computed for a run that fails
     monkeypatch.setattr(cli.dispmod, "find_a0",
                         lambda *a, **kw: pytest.fail("find_a0 was called"))
     monkeypatch.setattr(cli.ckmod, "ck_constant",
