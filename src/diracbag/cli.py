@@ -257,6 +257,8 @@ def cmd_disk(args) -> int:
             diskmod.check_grid(spec)
         except ValueError as exc:
             raise ConfigError(f"--n {args.n} is too coarse for h={spec.h}: {exc}") from None
+    if min(hs) < diskmod.POSITIVE_H_MIN:
+        raise ConfigError(f"--h must be >= {diskmod.POSITIVE_H_MIN}, got {args.h!r}")
     out = _outdir(args)
     results, errors = [], []
     for spec in specs:

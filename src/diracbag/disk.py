@@ -18,8 +18,9 @@ eigenvalue ell_k(lambda) of the quadratic form
                   + h lambda R |f(R)|^2 - lambda^2 int |f|^2 r dr,
 
 negative ones from the same construction with the field flipped (charge
-conjugation).  A staggered first-order discretization of the radial system
-serves as an independent oracle.
+conjugation; ``RadialField(-B, R)`` is that flipped field).  A staggered
+first-order discretization of the radial system serves as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class ModeRangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialField:
-    """Radial magnetic profile B(r) > 0 on [0, R]."""
+    """Radial magnetic profile B(r) on [0, R], of one sign and not identically
+    zero (isolated zeros are allowed); ``RadialField(-B, R)`` reverses it."""
 
     B: Union[float, Callable[[np.ndarray], np.ndarray]]
     R: float
@@ -85,8 +87,8 @@ class RadialField:
         else:
             vals = np.full_like(r, float(self.B))
         # isolated zeros (e.g. B ~ r^2 at the center) are tolerated
-        if np.any(vals < 0.0) or not np.any(vals > 0.0):
-            raise ValueError("field must be positive on [0, R]")
+        if not (np.all(vals >= 0.0) or np.all(vals <= 0.0)) or not np.any(vals):
+            raise ValueError("field must keep one sign and not vanish on [0, R]")
         return vals
 
 
@@ -94,8 +96,9 @@ class RadialField:
 class RadialGauge:
     """Coulomb-gauge data: phi'' + phi'/r = B, phi(R) = 0.
 
-    phi'(r) = (1/r) int_0^r s B(s) ds, so phi is subharmonic with its minimum
-    at the center; ``hess`` is the Hessian scale B(0)/2 there.
+    phi'(r) = (1/r) int_0^r s B(s) ds, so for B > 0 phi is subharmonic with
+    its minimum ``phi_min`` at the center; ``hess`` is the Hessian scale B(0)/2
+    there.  For B < 0 phi(0) is a maximum and ``hess`` is negative.
     """
 
     r: np.ndarray
@@ -111,10 +114,9 @@ class RadialGauge:
         return np.interp(x, self.r, self.dphi)
 
 
-def radial_phi(field: RadialField, grid: Optional[Grid1D] = None) -> RadialGauge:
+def radial_phi(field: RadialField) -> RadialGauge:
     """Gauge potential of a radial field by cumulative quadrature."""
-    if grid is None:
-        grid = Grid1D(0.0, field.R, _GAUGE_N)
+    grid = Grid1D(0.0, field.R, _GAUGE_N)
     r = grid.nodes()
     b = field.samples(r)
     h = grid.step
@@ -165,17 +167,10 @@ class DiskSpec:
             raise ValueError(f"h must be positive, got {self.h}")
 
     @classmethod
-    def make(
-        cls,
-        field: RadialField,
-        h: float,
-        n: int = 2001,
-        m_range: Optional[Tuple[int, int]] = None,
-    ) -> "DiskSpec":
-        if m_range is None:
-            m_max = math.ceil(3.0 * field.R**2 / h)
-            m_range = (-m_max, m_max)
-        return cls(field=field, h=h, m_range=m_range, rgrid=_shifted_grid(field.R, n))
+    def make(cls, field: RadialField, h: float, n: int = 2001) -> "DiskSpec":
+        """The window |m| <= ceil(3 R^2 / h) on the n-node shifted grid."""
+        m_max = math.ceil(3.0 * field.R**2 / h)
+        return cls(field=field, h=h, m_range=(-m_max, m_max), rgrid=_shifted_grid(field.R, n))
 
     @property
     def gauge(self) -> RadialGauge:
@@ -197,18 +192,19 @@ class DiracSpectrum:
 class _ModeOperator:
     """lambda-independent pieces of the mode-m quadratic form Q_lambda.
 
-    Inner closure: the zero-flux solution of h f' + W f = 0 is
-    r^m e^{-s phi/h}, regular at the origin exactly when m >= 0; those modes
-    keep the free (natural) end of the shifted grid so the state stays
-    exactly representable (this is what makes the discrete roots respect
-    their Hardy bounds).  For m < 0 the solution is singular yet grid
-    normalizable, so the inner end is closed with a Dirichlet node.  On top
-    of that, the leading cells where |W| exceeds the mesh-Peclet bound
+    The branch name fixes s = +1 (plus) or -1 (minus) in W = -h m / r + s phi';
+    phi' carries the field's sign.  Inner closure: the zero-flux solution of
+    h f' + W f = 0 is r^m e^{-s phi/h}, regular at the origin exactly when
+    m >= 0; those modes keep the free (natural) end of the shifted grid so
+    the state stays exactly representable (this is what makes the discrete
+    roots respect their Hardy bounds).  For m < 0 the solution is singular
+    yet grid normalizable, so the inner end is closed with a Dirichlet node.
+    On top of that, the leading cells where |W| exceeds the mesh-Peclet bound
     h/step are dropped entirely (the physical states are r^|m|-small there,
     so the cut is far below the discretization error).
     """
 
-    def __init__(self, spec: DiskSpec, m: int, field_sign: str, orientation: int = 1, cells=None):
+    def __init__(self, spec: DiskSpec, m: int, field_sign: str, cells=None):
         self.m, self.field_sign = m, field_sign
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
@@ -216,7 +212,7 @@ class _ModeOperator:
         delta = spec.rgrid.step
         h = spec.h
         _, flux, c, mass, dphi = cells or _radial_cells(spec)
-        s = (1.0 if field_sign == "plus" else -1.0) * orientation
+        s = 1.0 if field_sign == "plus" else -1.0
         w = -h * m / flux + s * dphi
 
         bad = np.abs(w) > h / delta
@@ -266,18 +262,11 @@ def check_grid(spec: DiskSpec) -> None:
             _ModeOperator(spec, m, field_sign)
 
 
-def mode_ell(
-    spec: DiskSpec,
-    m: int,
-    field_sign: str,
-    lam: float,
-    k: int,
-    orientation: int = 1,
-) -> np.ndarray:
+def mode_ell(spec: DiskSpec, m: int, field_sign: str, lam: float, k: int) -> np.ndarray:
     """ell_1(lambda)..ell_k(lambda) for angular mode m."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    vals, _ = eig_sym_tridiag(_ModeOperator(spec, m, field_sign, orientation).matrix(lam), k)
+    vals, _ = eig_sym_tridiag(_ModeOperator(spec, m, field_sign).matrix(lam), k)
     return vals - lam * lam
 
 
@@ -320,58 +309,58 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _hardy_ratios(spec: DiskSpec, ms: Sequence[int], orientation: int = 1) -> np.ndarray:
+def _hardy_ratios(spec: DiskSpec, ms: Sequence[int]) -> np.ndarray:
     """Boundary-to-bulk quotients h R^{2m+1} / int r^{2m+1} e^{-2 phi / h} dr
     of the weighted holomorphic modes r^m e^{-phi/h}, one per m >= 0 in ``ms``;
-    each bounds E_1^{(m)} on the plus branch from above."""
+    each bounds E_1^{(m)} on the plus branch from above.  On [0, R] the factor
+    (r/R)^{2m+1} falls with m under a positive weight, so the quotients rise
+    with m."""
     R = spec.field.R
     fine = Grid1D(0.0, R, 8193)
     r = fine.nodes()
-    logw = -2.0 * orientation * spec.gauge.phi_at(r) / spec.h
+    logw = -2.0 * spec.gauge.phi_at(r) / spec.h
     scale = float(np.max(logw))  # keep the weight <= 1
     weight = np.exp(logw - scale)
     return np.array([spec.h * math.exp(-scale) / integrate((r / R) ** (2 * m + 1) * weight, fine)
                      for m in ms])
 
 
-def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int, orientation: int) -> Tuple[float, float]:
+def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int) -> Tuple[float, float]:
     """Initial dichotomy bracket for the k-th root of mode m.
 
     Minus branch roots live on the sqrt(h) scale.  Plus-branch ground roots
     of the holomorphic modes (m >= 0) are exponentially small; their Hardy
     quotient bounds them above and fixes the scale of the bracket, keeping
-    the lower end clear of the eigensolver noise floor.
+    the lower end clear of the eigensolver noise floor.  For B < 0 the
+    exponentially small roots are the minus branch's, and the h floor
+    follows them (the brackets still follow the branch name).
     """
     h = spec.h
+    small = "plus" if spec.gauge.phi_min < 0.0 else "minus"  # phi(0) < 0 exactly for B > 0
+    if field_sign == small and h < POSITIVE_H_MIN:
+        raise ValueError(
+            f"h={h} below the supported range for the exponentially small "
+            f"{field_sign}-branch roots (h >= {POSITIVE_H_MIN}): there lambda^2 sinks "
+            f"under the rounding error of ell_k, a few eps * ||Q_lambda||_1, which "
+            f"grows like n^2"
+        )
     if field_sign == "minus":
         return 0.5 * math.sqrt(h), 1.5 * math.sqrt(h)
-    if h < POSITIVE_H_MIN:
-        raise ValueError(
-            f"h={h} below the supported range for positive eigenvalues "
-            f"(h >= {POSITIVE_H_MIN}): there lambda^2 sinks under the rounding "
-            f"error of ell_k, a few eps * ||Q_lambda||_1, which grows like n^2"
-        )
     hi = 2.0 * math.sqrt(2.0 * h)
     if k == 1 and m >= 0:
-        ratio = float(_hardy_ratios(spec, [m], orientation)[0])
+        ratio = float(_hardy_ratios(spec, [m])[0])
         if ratio < 0.5 * math.sqrt(h):
             return 0.25 * ratio, hi
         return 1e-9, max(hi, 2.0 * ratio)
     return 1e-9, hi
 
 
-def mode_E(
-    spec: DiskSpec,
-    m: int,
-    field_sign: str,
-    k: int = 1,
-    orientation: int = 1,
-) -> float:
+def mode_E(spec: DiskSpec, m: int, field_sign: str, k: int = 1) -> float:
     """Unique positive zero E_k of ell_k(lambda) for angular mode m."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    op = _ModeOperator(spec, m, field_sign, orientation)
-    lo, hi = _bracket_for(spec, m, field_sign, k, orientation)
+    op = _ModeOperator(spec, m, field_sign)
+    lo, hi = _bracket_for(spec, m, field_sign, k)
     return _bisect_ell(op, k, lo, hi)
 
 
@@ -407,7 +396,7 @@ def _screen(count_at: Callable[[int, float], int], modes: int, count: int,
 
 
 def _merge_modes(
-    spec: DiskSpec, field_sign: str, count: int, orientation: int
+    spec: DiskSpec, field_sign: str, count: int
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """The ``count`` smallest roots E_k^{(m)} over the mode window.
 
@@ -422,10 +411,10 @@ def _merge_modes(
     """
     m_lo, m_hi = spec.m_range
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
-    # also enforces the positive-branch h floor
-    lo, hi = _bracket_for(spec, m_lo, field_sign, 2, orientation)
+    # also enforces the h floor of the exponentially small branch
+    lo, hi = _bracket_for(spec, m_lo, field_sign, 2)
     cells = _radial_cells(spec)  # shared by the window's operators
-    ops = [_ModeOperator(spec, m, field_sign, orientation, cells) for m in range(m_lo, m_hi + 1)]
+    ops = [_ModeOperator(spec, m, field_sign, cells) for m in range(m_lo, m_hi + 1)]
 
     def count_at(i: int, lam: float) -> int:
         return count_below(ops[i].matrix(lam), lam * lam)
@@ -433,7 +422,7 @@ def _merge_modes(
     entries: List[Tuple[float, int, int]] = []
     for op, below in zip(ops, _screen(count_at, len(ops), count, lo, hi, 8)):
         for k in range(1, below + 1):
-            lo, hi = _bracket_for(spec, op.m, field_sign, k, orientation)
+            lo, hi = _bracket_for(spec, op.m, field_sign, k)
             entries.append((_bisect_ell(op, k, lo, hi), op.m, k))
     entries.sort()
     selected = entries[:count]
@@ -446,17 +435,18 @@ def _merge_modes(
     return values, prov
 
 
-def dirac_spectrum(spec: DiskSpec, count: int, orientation: int = 1) -> DiracSpectrum:
+def dirac_spectrum(spec: DiskSpec, count: int) -> DiracSpectrum:
     """First ``count`` positive and negative disk Dirac eigenvalues.
 
     Negative eigenvalues are the positive zeros of the charge-conjugate
-    (field-flipped) problem and are stored with positive sign.  With
-    ``orientation=-1`` the whole computation runs for the reversed field.
+    (field-flipped) problem and are stored with positive sign; the reversed
+    field ``RadialField(-B, R)`` swaps ``pos`` and ``neg``.  The exponentially
+    small side needs h >= ``POSITIVE_H_MIN`` for either sign.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    pos, pos_prov = _merge_modes(spec, "plus", count, orientation)
-    neg, neg_prov = _merge_modes(spec, "minus", count, orientation)
+    pos, pos_prov = _merge_modes(spec, "plus", count)
+    neg, neg_prov = _merge_modes(spec, "minus", count)
     return DiracSpectrum(
         pos=pos, neg=neg, pos_provenance=pos_prov, neg_provenance=neg_prov
     )
@@ -470,11 +460,12 @@ def hardy_nu_k(spec: DiskSpec, kmax: int) -> np.ndarray:
 
         r_n = h R^{2n+1} / int_0^R r^{2n+1} e^{-2 phi(r)/h} dr ;
 
-    the weight is scaled by its maximum so it never overflows.
+    the weight is scaled by its maximum so it never overflows.  The quotients
+    rise with n, so the first kmax modes give the kmax smallest.
     """
     if kmax < 1:
         raise ValueError(f"need kmax >= 1, got {kmax}")
-    return np.sort(_hardy_ratios(spec, range(kmax + 8)))[:kmax]
+    return _hardy_ratios(spec, range(kmax))
 
 
 def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
@@ -484,8 +475,9 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
         h^2 (-f'' - f'/r + (m/r - A/h)^2 f) +- h B f,  f(R) = 0,
     with A = phi'.  The minus branch is the plus-field form Q_lambda of
     ``_ModeOperator`` without its wall row and column (f(R) = 0): a sum of
-    squares, so >= 0.  The plus branch adds 2 h B at the operator's nodes and
-    is bounded below by 2 b0 h; the minus branch is exponentially small in 1/h.
+    squares, so >= 0.  The plus branch adds 2 h B at the operator's nodes.
+    For B > 0 it is bounded below by 2 b0 h and the minus branch is
+    exponentially small in 1/h; a reversed field swaps the two.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
@@ -495,7 +487,7 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     bvals = spec.field.samples(cells[0])
     mats = []
     for m in range(spec.m_range[0], spec.m_range[1] + 1):
-        op = _ModeOperator(spec, m, "plus", 1, cells)
+        op = _ModeOperator(spec, m, "plus", cells)
         diag = op.diag[:-1]
         if branch == "plus":
             diag = diag + 2.0 * spec.h * bvals[op.first:-1]
@@ -507,7 +499,7 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     def below(i: int, x: float) -> int:
         return count_below(mats[i], x)
 
-    held = _screen(below, len(mats), count, 0.0, spec.h * float(np.max(bvals)), 8)
+    held = _screen(below, len(mats), count, 0.0, spec.h * float(np.max(np.abs(bvals))), 8)
     vals = [eig_sym_tridiag(t, min(count, t.n))[0] for t, k in zip(mats, held) if k]
     return np.sort(np.concatenate(vals))[:count]
 

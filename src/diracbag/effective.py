@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -43,13 +43,13 @@ class CutoffError(RuntimeError):
 class EffSpec:
     """Effective operator data: geometry, flux constant and curvature profile.
 
-    ``kappa`` may be a constant, a callable of arclength, or uniform samples
-    over one period (Fourier-interpolated).
+    ``kappa`` is a constant or uniform samples over one period
+    (Fourier-interpolated).
     """
 
     L: float
     t_h: float
-    kappa: Union[float, Callable[[np.ndarray], np.ndarray], np.ndarray]
+    kappa: Union[float, np.ndarray]
 
     @classmethod
     def disk(cls, R: float, h: float, a0: float) -> "EffSpec":
@@ -101,18 +101,14 @@ def qeff_disk(t_h: float, R: float, count: int) -> EffSpectrum:
     return EffSpectrum(values=vals[order], m_sequence=[ms[i] for i in order])
 
 
-def _kappa_coefficients(spec: EffSpec, n_modes: int, samples: int = 4096) -> np.ndarray:
+def _kappa_coefficients(spec: EffSpec, n_modes: int) -> np.ndarray:
     """Fourier coefficients c_p of kappa^2 / 12 for |p| <= n_modes."""
     if isinstance(spec.kappa, (int, float)):
         c = np.zeros(2 * n_modes + 1, dtype=complex)
         c[n_modes] = float(spec.kappa) ** 2 / 12.0
         return c
-    if callable(spec.kappa):
-        s = spec.L * np.arange(samples) / samples
-        vals = np.asarray(spec.kappa(s), dtype=float)
-    else:
-        vals = np.asarray(spec.kappa, dtype=float)
-        samples = vals.size
+    vals = np.asarray(spec.kappa, dtype=float)
+    samples = vals.size
     spectrum = np.fft.fft(vals**2 / 12.0) / samples
     c = np.zeros(2 * n_modes + 1, dtype=complex)
     for p in range(-n_modes, n_modes + 1):

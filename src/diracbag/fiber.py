@@ -13,7 +13,7 @@ eigenvalues together with boundary traces of the ground state.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -119,25 +119,19 @@ def _values(sign: str, alpha: float, xi: float, n: int, x1: float, k: int) -> Tu
     return tuple(float(v) for v in vals)
 
 
-def nu_values(
-    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N, x1: Optional[float] = None
-) -> Tuple[float, ...]:
+def nu_values(sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N) -> Tuple[float, ...]:
     """The k lowest eigenvalues nu_1..k^{sign}(alpha, xi) of the half-line
-    fiber, from one solve.
+    fiber on ``default_grid(xi, n)``, from one solve.
 
-    ``x1`` overrides the truncation of ``default_grid``; scans over xi
-    should fix it so the grid step does not drift with the parameter.
+    The truncation follows |xi|; a scan over xi that must keep the grid step
+    fixed calls ``_values`` with its own truncation.
     """
-    if x1 is None:
-        x1 = default_grid(xi, n).x1
-    return _values(sign, alpha, xi, n, x1, k)
+    return _values(sign, alpha, xi, n, default_grid(xi, n).x1, k)
 
 
-def nu_k(
-    sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N, x1: Optional[float] = None
-) -> float:
+def nu_k(sign: str, k: int, alpha: float, xi: float, n: int = DEFAULT_N) -> float:
     """k-th eigenvalue nu_k^{sign}(alpha, xi) of the half-line fiber."""
-    return nu_values(sign, k, alpha, xi, n, x1)[k - 1]
+    return nu_values(sign, k, alpha, xi, n)[k - 1]
 
 
 def fiber_eig_derivatives(sign: str, alpha: float, xi: float) -> Tuple[float, float]:

@@ -138,7 +138,7 @@ def _neg_at_002(a0res):
     field = disk.RadialField(1.0, 1.0)
     spec = disk.DiskSpec(field=field, h=0.02, m_range=(-40, 10),
                          rgrid=disk._shifted_grid(1.0, 4001))
-    vals, _ = disk._merge_modes(spec, "minus", 5, 1)
+    vals, _ = disk._merge_modes(spec, "minus", 5)
     return vals
 
 
@@ -166,9 +166,9 @@ def test_c12_no_zero_modes(disk_runs):
     assert report("C12 zero gap", smallest > 1e-6, f"min |eigenvalue| = {smallest:.3e}")
 
 
-def test_c13_charge_conjugation(disk_runs, unit_field):
-    spec = disk.DiskSpec.make(unit_field, 0.1, n=2001)
-    rev = disk.dirac_spectrum(spec, 5, orientation=-1)
+def test_c13_charge_conjugation(disk_runs):
+    spec = disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), 0.1, n=2001)
+    rev = disk.dirac_spectrum(spec, 5)
     fwd = disk_runs[0.1]["spectrum"]
     dev = max(
         float(np.max(np.abs(fwd.pos - rev.neg))),

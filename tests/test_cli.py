@@ -252,14 +252,24 @@ def test_disk_command(tmp_path):
             assert float(r[6]) == 1.0
 
 
-def test_disk_error_row_names_exception_type(tmp_path):
-    # h = 0.01 is below disk.POSITIVE_H_MIN, so the positive branch refuses it
+def test_disk_error_row_names_exception_type(tmp_path, monkeypatch):
+    # a solve that fails for one h becomes an error row naming the exception;
+    # the other h keeps its rows
+    real = cli.diskmod.dirac_spectrum
+
+    def failing_at_quarter(spec, count):
+        if spec.h == 0.25:
+            raise ArithmeticError("no root")
+        return real(spec, count)
+
+    monkeypatch.setattr(cli.diskmod, "dirac_spectrum", failing_at_quarter)
     out = tmp_path / "err"
-    assert run(["disk", "--h", "0.01", "--neg", "1", "--pos", "1", "--n", "401",
-                "--n-a0", "1001", "--out", str(out)]) == cli.EXIT_SOLVER
+    assert run(["disk", "--h", "0.5,0.25", "--neg", "1", "--pos", "1", "--n", "401",
+                "--n-a0", "1001", "--out", str(out)]) == cli.EXIT_OK
     _, _, rows = read_csv(out / "disk_report.csv")
-    assert [r[:3] for r in rows] == [["0.01", "0", "error"]]
-    assert rows[0][6].startswith("ValueError: h=0.01 below the supported range")
+    assert {r[0] for r in rows if r[2] != "error"} == {"0.5"}
+    assert [r for r in rows if r[2] == "error"] == [
+        ["0.25", "0", "error", "nan", "nan", "nan", "ArithmeticError: no root"]]
 
 
 GOLDEN = {
@@ -396,6 +406,8 @@ FAIL_FAST = [
      "unresolvable on this grid (centrifugal cut at 4/5)"),
     (["disk", "--h", "0.2,0.01", "--n", "301"], "--n 301 is too coarse for h=0.01: mode m=-300 "
      "unresolvable on this grid (centrifugal cut at 300/301)"),
+    (["disk", "--h", "0.01"], "--h must be >= 0.05, got '0.01'"),
+    (["disk", "--h", "0.2,0.04"], "--h must be >= 0.05, got '0.2,0.04'"),
 ]
 
 

@@ -28,9 +28,22 @@ def test_radial_phi_quartic_field():
 def test_radial_field_validation():
     with pytest.raises(ValueError):
         disk.RadialField(1.0, -1.0)
-    bad = disk.RadialField(lambda r: r - 0.5, 1.0)
-    with pytest.raises(ValueError):
-        bad.samples(np.linspace(0, 1, 11))
+    r = np.linspace(0, 1, 11)
+    # a field of one sign is accepted, isolated zeros included
+    assert np.all(disk.RadialField(-1.0, 1.0).samples(r) == -1.0)
+    assert np.array_equal(disk.RadialField(lambda x: -4 * x**2, 1.0).samples(r), -4 * r**2)
+    # a sign change or a field that vanishes everywhere is not
+    for bad in (lambda x: x - 0.5, lambda x: 0 * x, 0.0):
+        with pytest.raises(ValueError, match="keep one sign and not vanish"):
+            disk.RadialField(bad, 1.0).samples(r)
+
+
+def test_reversed_field_gauge_is_the_exact_negation(unit_field):
+    # cumulative sums and interpolation are sign-symmetric, so phi(-B) is
+    # -phi(B) bit for bit and phi(0) is a maximum
+    fwd, rev = disk.radial_phi(unit_field), disk.radial_phi(disk.RadialField(-1.0, 1.0))
+    assert np.array_equal(rev.phi, -fwd.phi) and np.array_equal(rev.dphi, -fwd.dphi)
+    assert rev.phi_min == -fwd.phi_min > 0 and rev.hess == -0.5
 
 
 def test_mode_ell_sign_change_around_root(unit_field):
@@ -86,9 +99,8 @@ def test_dirac_spectrum_basic(disk_runs):
 
 
 def test_charge_conjugation_small(unit_field):
-    spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
-    fwd = disk.dirac_spectrum(spec, 3)
-    rev = disk.dirac_spectrum(spec, 3, orientation=-1)
+    fwd = disk.dirac_spectrum(disk.DiskSpec.make(unit_field, 0.2, n=1001), 3)
+    rev = disk.dirac_spectrum(disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), 0.2, n=1001), 3)
     assert np.allclose(fwd.pos, rev.neg, atol=1e-8)
     assert np.allclose(fwd.neg, rev.pos, atol=1e-8)
 
@@ -112,28 +124,28 @@ def test_mode_range_error(unit_field):
     assert err.value.suggested[1] > 1
 
 
-def _brute_force_roots(spec, field_sign, count, orientation):
+def _brute_force_roots(spec, field_sign, count):
     # every root (m, k <= count) of the window, bisected one by one
     m_lo, m_hi = spec.m_range
     roots = sorted(
-        (disk.mode_E(spec, m, field_sign, k, orientation), m, k)
+        (disk.mode_E(spec, m, field_sign, k), m, k)
         for m in range(m_lo, m_hi + 1)
         for k in range(1, count + 1)
     )
     return roots[:count]
 
 
-@pytest.mark.parametrize("orientation", (1, -1))
-def test_dirac_spectrum_matches_brute_force(unit_field, orientation):
+@pytest.mark.parametrize("b0", (1, -1))
+def test_dirac_spectrum_matches_brute_force(b0):
     # the Sturm screening may only skip roots that cannot be selected, so
     # values and provenance equal the full per-mode search bit for bit
     count = 5
-    spec = disk.DiskSpec(field=unit_field, h=0.2, m_range=(-4, 4),
+    spec = disk.DiskSpec(field=disk.RadialField(b0, 1.0), h=0.2, m_range=(-4, 4),
                          rgrid=disk._shifted_grid(1.0, 1001))
-    sp = disk.dirac_spectrum(spec, count, orientation=orientation)
+    sp = disk.dirac_spectrum(spec, count)
     for sign, values, prov in (("plus", sp.pos, sp.pos_provenance),
                                ("minus", sp.neg, sp.neg_provenance)):
-        best = _brute_force_roots(spec, sign, count, orientation)
+        best = _brute_force_roots(spec, sign, count)
         assert values.tolist() == [v for v, _, _ in best]
         assert prov == [(m, k) for _, m, k in best]
 
@@ -151,7 +163,7 @@ def _screen_every_mode(count_at, modes, count, lo, hi, steps):
     return counts(hi * (1.0 + 1e-3))
 
 
-def test_screen_counts_only_live_modes(unit_field, monkeypatch):
+def test_screen_counts_only_live_modes(monkeypatch):
     # a mode's root count never grows as the threshold falls, so skipping the
     # modes without a root at the last accepted probe changes no count
     real, screens = disk._screen, []
@@ -163,9 +175,9 @@ def test_screen_counts_only_live_modes(unit_field, monkeypatch):
 
     monkeypatch.setattr(disk, "_screen", both)
     for h in (0.2, 0.1, 0.05):
-        spec = disk.DiskSpec.make(unit_field, h, n=1001)
-        for orientation in (1, -1):
-            disk.dirac_spectrum(spec, 5, orientation=orientation)
+        for b0 in (1.0, -1.0):
+            disk.dirac_spectrum(disk.DiskSpec.make(disk.RadialField(b0, 1.0), h, n=1001), 5)
+        spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), h, n=1001)
         for branch in ("plus", "minus"):
             disk.zigzag_spectrum(spec, branch, 3)
     assert len(screens) == 18 and all(sum(c) >= 3 for c in screens)
@@ -244,12 +256,12 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
     # Count and eigensolve roots part most at the plus-branch ground roots:
     # about 5e-8 relative at h = 0.1 and 2.4e-4 at h = 0.05.
     spec01 = disk.DiskSpec.make(unit_field, 0.1, n=2001)
-    spec02 = disk.DiskSpec.make(unit_field, 0.2, n=501)
+    spec02 = disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), 0.2, n=501)
     spec005 = disk.DiskSpec.make(unit_field, 0.05, n=2001)
 
     def roots():
         return (_spectrum_hex(disk.dirac_spectrum(spec01, 5)),
-                _spectrum_hex(disk.dirac_spectrum(spec02, 5, orientation=-1)),
+                _spectrum_hex(disk.dirac_spectrum(spec02, 5)),
                 disk.mode_E(spec005, 0, "plus", 1).hex())
 
     certified = roots()
@@ -267,6 +279,72 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
             mod, "eig_sym_tridiag", lambda *a, f=real, **kw: solves.append(1) or f(*a, **kw))
     assert roots() == certified
     assert len(solves) == len(signs)
+
+
+# float.hex of the reversed-field disk at h = 0.2, n = 501, generated while the
+# reversal was an option of the solvers (B = 1 with the field flipped in the
+# mode form and the Hardy weight) rather than the field B = -1 itself
+PINNED_REVERSED = (
+    ["0x1.29bd105529babp-1", "0x1.487324f1c67c4p-1", "0x1.944b99a416034p-1",
+     "0x1.bdcaa7238d8aep-1", "0x1.f335f48a95348p-1"],
+    [(0, 1), (-1, 1), (-2, 1), (1, 1), (-3, 1)],
+    ["0x1.527678cd78b46p-4", "0x1.e4dbc17d85fb8p-3", "0x1.aeb78832ed1a4p-2",
+     "0x1.3b8b4ce0abb54p-1", "0x1.7da82caf515fbp-1"],
+    [(0, 1), (1, 1), (2, 1), (3, 1), (-1, 1)],
+)
+PINNED_REVERSED_E = {
+    (-2, "plus", 1): "0x1.944b99a416034p-1", (-2, "plus", 2): "0x1.79cd4685dc7d0p+0",
+    (-2, "minus", 1): "0x1.17a11c740582ep+0", (-2, "minus", 2): "0x1.a9abe08a2418ap+0",
+    (0, "plus", 1): "0x1.29bd105529babp-1", (0, "plus", 2): "0x1.0a2861b1f35c4p+0",
+    (0, "minus", 1): "0x1.527678cd78b46p-4", (0, "minus", 2): "0x1.d81a5bdff889cp-1",
+    (3, "plus", 1): "0x1.5ce7da6f8a996p+0", (3, "plus", 2): "0x1.f5f8f50663d44p+0",
+    (3, "minus", 1): "0x1.3b8b4ce0abb54p-1", (3, "minus", 2): "0x1.8ea8cf38e77c6p+0",
+}
+PINNED_REVERSED_ELL = {
+    (0, "plus", 0.3): ["0x1.2c55856caa4bap-3", "0x1.63c941f0118f7p-1", "0x1.0a3b892a76604p+1"],
+    (-2, "minus", 0.5): ["0x1.c8c05fde00e9ap-1", "0x1.2aaa1579c5862p+1", "0x1.22167bf655ee0p+2"],
+    (3, "plus", 0.7): ["0x1.95266cab10490p-1", "0x1.665bc37d8f5f7p+1", "0x1.5868d9ff8f389p+2"],
+}
+
+
+def test_reversed_field_keeps_its_pinned_bits():
+    spec = disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), 0.2, n=501)
+    assert _spectrum_hex(disk.dirac_spectrum(spec, 5)) == PINNED_REVERSED
+    for (m, branch, k), pinned in PINNED_REVERSED_E.items():
+        assert disk.mode_E(spec, m, branch, k).hex() == pinned
+    for (m, branch, lam), pinned in PINNED_REVERSED_ELL.items():
+        assert [v.hex() for v in disk.mode_ell(spec, m, branch, lam, 3).tolist()] == pinned
+
+
+def test_h_floor_follows_the_exponentially_small_branch(unit_field):
+    # for B < 0 the minus branch holds the exponentially small roots: its
+    # (0, 1) root at h = 0.03 is the forward plus one, about 5.8e-8, which
+    # sinks under ell_k's rounding (5.1e-7 came out), so it is refused; the
+    # plus branch is the forward minus one on the sqrt(h) scale
+    def spec_at(field):
+        return disk.DiskSpec(field=field, h=0.03, m_range=(-3, 3),
+                             rgrid=disk._shifted_grid(1.0, 2001))
+
+    rev = spec_at(disk.RadialField(-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"supported range .*minus-branch .*\(h >= 0\.05\)"):
+        disk.mode_E(rev, 0, "minus", 1)
+    with pytest.raises(ValueError, match="supported range"):  # dirac_spectrum's minus half
+        disk._merge_modes(rev, "minus", 1)
+    fwd_minus = disk.mode_E(spec_at(unit_field), 0, "minus", 1)
+    assert abs(disk.mode_E(rev, 0, "plus", 1) / fwd_minus - 1.0) < 1e-9
+
+
+def test_hardy_quotients_rise_with_the_mode():
+    # the first kmax quotients are the kmax smallest: bitwise the sorted
+    # kmax + 8 the bound used to be taken from
+    for b in (1.0, 0.95, lambda r: 1.0 + r**2, lambda r: 4.0 * r**2):
+        for h in (0.2, 0.1, 0.05, 0.02):
+            spec = disk.DiskSpec.make(disk.RadialField(b, 1.0), h)
+            ratios = disk._hardy_ratios(spec, range(20))
+            for kmax in (1, 3, 5, 12):
+                old = np.sort(ratios[:kmax + 8])[:kmax]
+                assert [v.hex() for v in disk.hardy_nu_k(spec, kmax).tolist()] == \
+                    [v.hex() for v in old.tolist()]
 
 
 def test_bisect_errors_name_the_mode(unit_field, monkeypatch):
@@ -289,6 +367,10 @@ def test_zigzag_bounds_and_pauli_shift(unit_field):
     # zigzag Dirac spectrum is the symmetric set +-sqrt(alpha_k)
     dirac_levels = np.sqrt(minus)
     assert np.all(dirac_levels >= 0)
+    # a reversed field swaps the branches, up to the grid error (1.0e-6 measured)
+    rev = disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), 0.2, n=1001)
+    assert np.allclose(disk.zigzag_spectrum(rev, "plus", 3), minus, rtol=0, atol=5e-6)
+    assert np.allclose(disk.zigzag_spectrum(rev, "minus", 3), plus, rtol=0, atol=5e-6)
 
 
 def test_zigzag_minus_exponentially_small(unit_field):
@@ -410,7 +492,8 @@ def test_oracle_mode_conjugation(unit_field):
 
 
 def test_positive_branch_h_floor(unit_field, disk_runs):
-    spec = disk.DiskSpec.make(unit_field, 0.01, n=501, m_range=(-3, 3))
+    spec = disk.DiskSpec(field=unit_field, h=0.01, m_range=(-3, 3),
+                         rgrid=disk._shifted_grid(1.0, 501))
     with pytest.raises(ValueError, match="supported range"):
         disk.mode_E(spec, 0, "plus", 1)
     # the negative branch stays available below the floor
@@ -418,7 +501,8 @@ def test_positive_branch_h_floor(unit_field, disk_runs):
     # just below the floor the plus (0, 1) root was off the exact one by 2e-3
     # to 6e-3 relative at n = 1001..4001 (h = 0.045), by up to 0.24 at
     # h = 0.04: both entry points refuse it
-    spec = disk.DiskSpec.make(unit_field, 0.045, n=501, m_range=(-3, 3))
+    spec = disk.DiskSpec(field=unit_field, h=0.045, m_range=(-3, 3),
+                         rgrid=disk._shifted_grid(1.0, 501))
     with pytest.raises(ValueError, match=r"supported range .*\(h >= 0\.05\)"):
         disk.mode_E(spec, 0, "plus", 1)
     with pytest.raises(ValueError, match=r"supported range .*\(h >= 0\.05\)"):

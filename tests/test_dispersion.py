@@ -128,7 +128,7 @@ def test_nu_of_alpha_is_minimum_of_xi_scan():
         x1 = dispersion._truncation(alpha)
         top = min((2 + alpha**2) / (2 * alpha), x1 - fiber.TAIL_PAD)
         xs = np.arange(-2.0, top, 0.05)
-        scan = np.array([fiber.nu_k("minus", 1, alpha, x, n, x1) for x in xs])
+        scan = np.array([fiber._values("minus", alpha, x, n, x1, 1)[0] for x in xs])
         assert nu <= scan.min() + 5e-5
         if alpha <= 2.0:  # at alpha = 50 the scan is flat to 1e-12; its argmin is noise
             assert abs(xi_a - xs[np.argmin(scan)]) <= 0.05
@@ -145,7 +145,8 @@ def test_nu_of_alpha_scan_skips_only_positive_cells(monkeypatch):
         start = 0.25 * math.floor(2 * alpha)
         assert start <= alpha / 2 < start + 0.25
         for xi in np.arange(-2.0, start + 0.125, 0.25):
-            assert fiber.nu_k("minus", 1, alpha, xi, n, x1) + alpha * alpha - 2 * alpha * xi > 0.0
+            nu = fiber._values("minus", alpha, xi, n, x1, 1)[0]
+            assert nu + alpha * alpha - 2 * alpha * xi > 0.0
         visited = []
         real = fiber.half_line_matrix
         monkeypatch.setattr(

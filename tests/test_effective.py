@@ -80,8 +80,12 @@ def test_qeff_general_variable_kappa_against_fd():
     def kappa(s):
         return 1.0 + 0.3 * np.cos(2 * np.pi * s / L) + 0.1 * np.sin(4 * np.pi * s / L)
 
-    spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa)
+    spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa(L * np.arange(4096) / 4096))
     got = effective.qeff_general(spec, 4)
+    # the values the Galerkin solver gave when it sampled the callable itself
+    assert [v.hex() for v in got.values.tolist()] == [
+        "0x1.7db90d612d837p-5", "0x1.3ef0295b77447p-2", "0x1.ca2553ad174fcp+0",
+        "0x1.48e71f6a1c62fp+1"]
 
     n = 8192
     s = L * np.arange(n) / n
