@@ -28,13 +28,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import Grid1D, TridiagSym, certified_sign, count_below, eig_sym_tridiag, integrate
+from .numerics import (Grid1D, TridiagSym, _certified_sign, _norm1, count_below, eig_sym_tridiag,
+                       integrate)
 
 __all__ = [
     "RadialField",
@@ -208,9 +210,7 @@ class _ModeOperator:
         self.m, self.field_sign = m, field_sign
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
-        n = spec.rgrid.n
-        delta = spec.rgrid.step
-        h = spec.h
+        n, delta, h = spec.rgrid.n, spec.rgrid.step, spec.h
         _, flux, c, mass, dphi = cells or _radial_cells(spec)
         s = 1.0 if field_sign == "plus" else -1.0
         w = -h * m / flux + s * dphi
@@ -249,9 +249,15 @@ class _ModeOperator:
         diag[-1] = (kd + self.h * lam * self.R) / mass
         return TridiagSym(diag, self.off)
 
+    @cached_property
+    def rest(self) -> float:
+        """||Q_0||_1; only the wall row depends on lambda, and it grows with it."""
+        return _norm1(self.matrix(0.0))
+
     def ell_sign(self, lam: float, k: int) -> float:
         """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
-        return certified_sign(self.matrix(lam), lam * lam, k)
+        t = self.matrix(lam)  # max is exact: the norm is _norm1(t), bit for bit
+        return _certified_sign(t, lam * lam, k, max(self.rest, abs(t.diag[-1]) + abs(self.off[-1])))
 
 
 def check_grid(spec: DiskSpec) -> None:
@@ -266,8 +272,7 @@ def mode_ell(spec: DiskSpec, m: int, field_sign: str, lam: float, k: int) -> np.
     """ell_1(lambda)..ell_k(lambda) for angular mode m."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    vals, _ = eig_sym_tridiag(_ModeOperator(spec, m, field_sign).matrix(lam), k)
-    return vals - lam * lam
+    return eig_sym_tridiag(_ModeOperator(spec, m, field_sign).matrix(lam), k)[0] - lam * lam
 
 
 def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
@@ -275,10 +280,9 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
 
     ell_k is positive below its unique zero and negative above it (the
     discrete form satisfies the same second-order structure in lambda as the
-    continuum one), so plain sign bisection applies.  ``op.ell_sign`` decides
-    signs by Sturm counts (one definiteness pass for k = 1) outside the
-    eigensolver's rounding band (``numerics.certified_sign``) and eigensolves
-    inside it: the root is bit for bit that of eigensolving every step.
+    continuum one), so plain sign bisection applies.  Signs are eigensolved
+    only within stebz's stopping width of ell_k = 0, where Sturm counts cannot
+    decide them (``numerics.certified_sign``): the root is that of eigensolving every step.
     """
     where = f"mode m={op.m}, {op.field_sign} branch, k={k}, last lambda"
     f_lo = op.ell_sign(lo, k)
@@ -404,7 +408,7 @@ def _merge_modes(
     lambda^2, so one Sturm count (``count_below``) per mode gives that mode's
     number of roots below lambda; the screen recounts only modes still holding
     one.  Every (m, k) it counts is bisected as in ``mode_E``.  Count and
-    eigensolve err by a few eps * ||T||_1 in ell_k, which moved roots by up to
+    eigensolve part within stebz's stopping width in ell_k, which moved roots by up to
     2.4e-4 relative (plus-branch ground root, h = 0.05, n = 2001) and under
     1e-7 for m >= 2: the screen's 1e-3 margin costs a few bisections at most
     and can never drop a selected root.
@@ -447,9 +451,7 @@ def dirac_spectrum(spec: DiskSpec, count: int) -> DiracSpectrum:
         raise ValueError(f"need count >= 1, got {count}")
     pos, pos_prov = _merge_modes(spec, "plus", count)
     neg, neg_prov = _merge_modes(spec, "minus", count)
-    return DiracSpectrum(
-        pos=pos, neg=neg, pos_provenance=pos_prov, neg_provenance=neg_prov
-    )
+    return DiracSpectrum(pos=pos, neg=neg, pos_provenance=pos_prov, neg_provenance=neg_prov)
 
 
 def hardy_nu_k(spec: DiskSpec, kmax: int) -> np.ndarray:

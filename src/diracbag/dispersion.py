@@ -149,7 +149,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
     1/4 from the last multiple of 1/4 at or below alpha / 2 (g >= nu_1^- > 0
     up to there) to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or the
     end of the truncation; the first sign-changing cell is bisected on signs
-    of g certified by Sturm counts (``numerics.certified_sign``).
+    of g, eigensolved only where Sturm counts cannot decide (``certified_sign``).
     At small alpha g dips only ~alpha / 3 below zero; below the grid's error
     (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """
@@ -293,7 +293,7 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
     f >= nu(c gamma) - c^2 > 0 below c, but f turns positive again where
     xi_c meets a local maximum of nu_1^- (near c = 0.75 at gamma = 0.1), so
     c is the *first* sign change: c steps so that xi_c advances by the xi
-    step of nu_of_alpha, then that cell is bisected, on certified signs as
+    step of nu_of_alpha, then that cell is bisected on signs decided as
     there.  Where f never dips below zero (see nu_of_alpha) RuntimeError is
     raised, not a tail root.
     """

@@ -34,9 +34,8 @@ __all__ = [
 ROOT_TOL = 1e-10
 
 _SIGN_GUARD = 64.0 * np.finfo(float).eps
-"""Rounding band per unit of ||T||_1: stebz (scipy's default tolerance) places
-eigenvalues within eps * ||T||_1 plus its Sturm counts' backward error, a few
-eps * ||T||_1, which ``count_below`` shares; counts outside it decide the sign."""
+"""k = 1 signs first take definiteness passes at x -/+ this band per unit of
+||T||_1: pttrf's pivots err from the Sturm count's by a few eps * ||T||_1."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -145,14 +144,10 @@ def eig_sym_tridiag(
                 select="i",
                 select_range=(lower - 1, k - 1),
             )
-            if vectors:
-                vals, vecs = out
-            else:
-                vals, vecs = out, None
+            vals, vecs = out if vectors else (out, None)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigenConvergenceError(m.n, str(exc)) from exc
-    vals = np.asarray(vals, dtype=float)
-    return vals, vecs
+    return np.asarray(vals, dtype=float), vecs
 
 
 def solve_sym_tridiag(m: TridiagSym, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -193,20 +188,33 @@ def _any_below(m: TridiagSym, x: float) -> int:
     return int(scipy.linalg.lapack.dpttrf(m.diag - x, m.offdiag)[2] != 0)
 
 
+def _norm1(m: TridiagSym) -> float:
+    """||m||_1, the largest absolute row sum."""
+    off = np.abs(m.offdiag)  # row i reaches |e_(i-1)| + |e_i|
+    return float(np.max(np.abs(m.diag) + (np.append(off, 0.0) + np.append(0.0, off))))
+
+
 def certified_sign(m: TridiagSym, x: float, k: int) -> float:
-    """-1.0 if a Sturm count puts the k-th eigenvalue of m below x - band, +1.0
-    if above x + band (band = ``_SIGN_GUARD`` * ||m||_1), else that eigenvalue
-    minus x, eigensolved: searches on the signs and on the values agree.
-    For k = 1 one definiteness pass (``_any_below``) replaces each count."""
-    off = np.abs(m.offdiag)
-    reach = np.append(off, 0.0)
-    reach[1:] += off  # |e_(i-1)| + |e_i|
-    band = _SIGN_GUARD * np.max(np.abs(m.diag) + reach)
-    below = _any_below if k == 1 else count_below
-    if below(m, x - band) >= k:
-        return -1.0
-    if below(m, x + band) < k:
-        return 1.0
+    """-1.0 or +1.0, the sign of lambda_k(m) - x, where Sturm counts decide it,
+    else that difference, eigensolved: searches on signs and on values agree.
+    k = 1 first tries ``_any_below`` at x -/+ ``_SIGN_GUARD`` * ||m||_1; then
+    every k counts at x -/+ tau = eps (||m||_1 + 2|x|).  At tol = 0 stebz
+    returns the midpoint of an [a, b] with its own count < k at a and >= k at
+    b, narrower than max(eps ||m||_1, pivmin, 2 eps max(|a|, |b|)) up to
+    rounding; that count is ``count_below``'s, monotone in x (Demmel, Dhillon,
+    Ren 1995), so if it decides at x -/+ tau, the midpoint lies on its side."""
+    return _certified_sign(m, x, k, _norm1(m))
+
+
+def _certified_sign(m: TridiagSym, x: float, k: int, norm: float) -> float:
+    """``certified_sign`` with norm = ``_norm1(m)`` given."""
+    tau = np.finfo(float).eps * (norm + 2.0 * abs(x))
+    tiers = [(_any_below, _SIGN_GUARD * norm)] if k == 1 else []
+    for below, band in tiers + [(count_below, tau)]:
+        if below(m, x - band) >= k:
+            return -1.0
+        if below(m, x + band) < k:
+            return 1.0
     return float(eig_sym_tridiag(m, k)[0][k - 1] - x)
 
 

@@ -237,11 +237,41 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     disk.dirac_spectrum(spec, 5)
     spectrum_calls = len(calls)
-    assert spectrum_calls <= 52  # 35 measured
-    assert len(counts) <= 1108  # 739 measured: 214 screen counts, 525 sign passes
+    # 35 measured while every sign within 64 eps ||Q_lambda||_1 was eigensolved
+    assert spectrum_calls <= 6  # 4 measured
+    assert len(counts) <= 1108  # 795 measured: 214 screen counts, 525 sign passes, 56 in-band counts
     disk.zigzag_spectrum(spec, "plus", 3)
     disk.zigzag_spectrum(spec, "minus", 3)
     assert len(calls) - spectrum_calls <= 9  # 6 measured (9 with a doubled-only threshold)
+
+
+def test_dirac_spectrum_eigensolves_at_the_benchmark_configuration(unit_field, monkeypatch):
+    # the benchmark's disk spectra: 165 eigensolves while every sign within
+    # 64 eps ||Q_lambda||_1 was eigensolved, now only those within stebz's
+    # stopping width of ell_k's zero (numerics.certified_sign)
+    calls = []
+    for mod in (disk, numerics):
+        real = mod.eig_sym_tridiag
+        monkeypatch.setattr(
+            mod, "eig_sym_tridiag", lambda *a, f=real, **kw: calls.append(1) or f(*a, **kw))
+    for h in (0.2, 0.1):
+        disk.dirac_spectrum(disk.DiskSpec.make(unit_field, h, n=2001), 5)
+    assert len(calls) <= 60  # 48 measured
+
+
+def test_mode_operator_norm_is_the_matrix_norm(unit_field, monkeypatch):
+    # ell_sign sizes its bands by the wall row and the cached max over the
+    # other rows; max is exact, so the norm is bit for bit that of the matrix
+    exact = []
+    real = disk._certified_sign
+    monkeypatch.setattr(disk, "_certified_sign", lambda t, x, k, norm: exact.append(
+        norm == numerics._norm1(t)) or real(t, x, k, norm))
+    spec = disk.DiskSpec.make(unit_field, 0.1, n=2001)
+    for m, branch in ((-20, "plus"), (-3, "minus"), (0, "plus"), (0, "minus"), (20, "plus")):
+        op = disk._ModeOperator(spec, m, branch)
+        for lam in (1e-9, 1e-3, 0.3, 1.0, 3.0):
+            op.ell_sign(lam, 1)
+    assert exact == [True] * 25
 
 
 def _spectrum_hex(sp):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from diracbag import numerics
+from diracbag import disk, numerics
 from diracbag.numerics import (
     Bracket,
     BracketError,
@@ -177,21 +178,89 @@ def test_any_below_is_count_below_at_least_one():
     assert 0 < sum(got) < len(got)
 
 
-def test_certified_sign_eigensolves_only_in_the_band(monkeypatch):
-    # the 2nd eigenvalue, 2, against levels above, below and at it: only the
-    # levels inside the rounding band are eigensolved, and give that
-    # eigenvalue minus the level
+def test_certified_sign_tiers(monkeypatch):
+    # eigenvalues 1, 2, 3 and ||m||_1 = 3.  k = 1: definiteness passes at
+    # x -/+ 64 eps * 3 (4.3e-14), then Sturm counts at x -/+ tau, tau = eps (3
+    # + 2|x|); every k > 1 starts with the counts.  Only levels inside +/- tau
+    # are eigensolved, and give the eigenvalue minus the level.
     m = TridiagSym(np.array([3.0, 1.0, 2.0]), np.zeros(2))
     lam1, lam2 = (float(v) for v in eig_sym_tridiag(m, 2)[0])
-    calls = []
-    monkeypatch.setattr(numerics, "eig_sym_tridiag",
-                        lambda t, k: calls.append(k) or eig_sym_tridiag(t, k))
-    signs = [certified_sign(m, x, 2) for x in (1.5, 2.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-14)]
-    assert signs == [1.0, -1.0, 1.0, lam2 - 2.0, lam2 - (2.0 + 1e-14)]
-    assert calls == [2, 2]
-    # k = 1 takes the definiteness pass, with the same band
-    assert [certified_sign(m, x, 1) for x in (0.5, 1.5, 1.0)] == [1.0, -1.0, lam1 - 1.0]
-    assert calls == [2, 2, 1]
+    eps = np.finfo(float).eps
+    tiers = []
+    for name in ("_any_below", "count_below", "eig_sym_tridiag"):
+        real = getattr(numerics, name)
+        monkeypatch.setattr(numerics, name,
+                            lambda *a, f=real, n=name: tiers.append(n) or f(*a))
+
+    def sign(x, k):
+        tiers.clear()
+        return certified_sign(m, x, k), tiers[-1]
+
+    tau1, tau2 = 5.0 * eps, 7.0 * eps
+    assert [sign(x, 1) for x in (0.5, 1.5, 1.0 - 1e-13, 1.0 + 1e-14, 1.0 - 2.0 * tau1)] == [
+        (1.0, "_any_below"), (-1.0, "_any_below"), (1.0, "_any_below"),
+        (-1.0, "count_below"), (1.0, "count_below")]
+    assert [sign(x, 1) for x in (1.0, 1.0 + 0.5 * tau1)] == [
+        (lam1 - 1.0, "eig_sym_tridiag"), (lam1 - (1.0 + 0.5 * tau1), "eig_sym_tridiag")]
+    assert tiers == ["_any_below", "_any_below", "count_below", "count_below", "eig_sym_tridiag"]
+    # the level 2 + 1e-14, inside the old 64 eps band, is count-decided
+    assert [sign(x, 2) for x in (1.5, 2.5, 2.0 - 1e-9, 2.0 + 1e-14, 2.0 + 2.0 * tau2)] == [
+        (1.0, "count_below"), (-1.0, "count_below"), (1.0, "count_below"),
+        (-1.0, "count_below"), (-1.0, "count_below")]
+    assert [sign(x, 2) for x in (2.0, 2.0 - 0.5 * tau2)] == [
+        (lam2 - 2.0, "eig_sym_tridiag"), (lam2 - (2.0 - 0.5 * tau2), "eig_sym_tridiag")]
+    assert "_any_below" not in tiers
+
+
+def _sign_scan_matrices():
+    rng = np.random.default_rng(7)
+    mats = [TridiagSym(rng.normal(size=n), rng.normal(size=n - 1)) for n in (50, 400)]
+    d = np.logspace(0, 8, 60)  # graded
+    mats.append(TridiagSym(d, np.sqrt(d[:-1] * d[1:]) * rng.uniform(-0.5, 0.5, 59)))
+    spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), 0.1, 2001)
+    for mode, branch in ((0, "plus"), (-2, "minus")):  # Q_lambda at the mode's ground root
+        mats.append(disk._ModeOperator(spec, mode, branch).matrix(disk.mode_E(spec, mode, branch)))
+    return mats
+
+
+def test_certified_sign_agrees_with_the_eigensolve_across_the_band(monkeypatch):
+    # x steps across lambda_1, lambda_2, lambda_3 by eps ||m||_1 / 8 over +/- 50
+    # eps ||m||_1: every sign is that of the eigensolved lambda_k - x, and an
+    # eigensolve happens only where the counts cannot decide, within tau plus
+    # stebz's final interval (< 2 tau) of lambda_k
+    eps = np.finfo(float).eps
+    levels = mismatched = 0
+    solves, gaps = [], []  # gaps: |x - lambda_k| / tau at the eigensolved levels
+    real = numerics.eig_sym_tridiag
+    monkeypatch.setattr(numerics, "eig_sym_tridiag", lambda *a: solves.append(1) or real(*a))
+    for m in _sign_scan_matrices():
+        norm = numerics._norm1(m)
+        for k in (1, 2, 3):
+            lam = float(real(m, k)[0][k - 1])
+            for j in range(-400, 401):
+                x = lam + j * norm * eps / 8.0
+                before = len(solves)
+                mismatched += np.sign(certified_sign(m, x, k)) != np.sign(lam - x)
+                levels += 1
+                if len(solves) > before:
+                    gaps.append(abs(x - lam) / (eps * (norm + 2.0 * abs(x))))
+    assert levels == 12015 and mismatched == 0
+    assert max(gaps) < 2.0
+    assert len(gaps) <= 450  # 373 measured
+
+
+def test_eig_sym_tridiag_is_stebz_at_zero_tolerance():
+    # certified_sign's tau rests on eig_sym_tridiag being LAPACK stebz by
+    # index with tol = 0 (stebz's own stopping width); a change of driver or
+    # tolerance must fail here
+    for m in _sign_scan_matrices()[:3] + [TridiagSym(np.array([3.0, 1.0, 2.0]), np.zeros(2))]:
+        for k in (1, 2, 3):
+            got = eig_sym_tridiag(m, k)[0]
+            mk, w, *_, info = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, 1, k, 0.0, "E")
+            assert info == 0 and mk == k
+            assert got.tobytes() == w[:k].tobytes()
+            mk, w, *_ = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, k, k, 0.0, "E")
+            assert eig_sym_tridiag(m, k, lower=k)[0].tobytes() == w[:1].tobytes()
 
 
 def test_bisect_sqrt2():
