@@ -62,11 +62,16 @@ def _parse_int_range(text: str) -> List[int]:
         ks = [int(t) for t in text.split(",") if t.strip()]
     if not ks:
         raise ConfigError(f"--k selects no values, got {text!r}")
+    if min(ks) < 1:
+        raise ConfigError(f"--k must be >= 1, got {text!r}")
     return ks
 
 
-def _parse_float_list(text: str) -> List[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _finite(x, flag: str) -> float:
+    value = float(x)
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -74,7 +79,7 @@ def _parse_sweep(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (_finite(p, "--xi") for p in parts)
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad sweep {text!r}")
     n = int(round((hi - lo) / step)) + 1
@@ -83,13 +88,11 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 def _parse_field(text: str, R: float) -> diskmod.RadialField:
     text = text.strip()
-    if text.startswith("const:"):
-        return diskmod.RadialField(float(text.split(":", 1)[1]), R)
     try:
-        value = float(text)
+        value = float(text.removeprefix("const:"))
     except ValueError:
         raise ConfigError(f"unsupported field spec {text!r} (use const:<value>)")
-    return diskmod.RadialField(value, R)
+    return diskmod.RadialField(_finite(value, "--B"), R)
 
 
 def _config_dict(args: argparse.Namespace) -> Dict[str, str]:
@@ -209,38 +212,60 @@ def cmd_momenta(args) -> int:
 # ----------------------------------------------------------------------- disk
 
 
-def _disk_single_h(args, spec: diskmod.DiskSpec):
-    """One h of the disk sweep."""
-    count = max(args.pos, args.neg)
-    sp = diskmod.dirac_spectrum(spec, count)
-    nus = diskmod.hardy_nu_k(spec, args.pos)
-    result = {
-        "h": spec.h,
-        "pos": sp.pos[:args.pos],
-        "neg": sp.neg[:args.neg],
-        "pos_prov": sp.pos_provenance[:args.pos],
-        "neg_prov": sp.neg_provenance[:args.neg],
-        "hardy": nus,
-        "phi_min": spec.gauge.phi_min,
-    }
+def _report_row(h, n, formula, direct, prediction, flag=None) -> list:
+    """One report row; rel_or_flag is ``flag`` when given (a pass/fail test,
+    or a deviation relative to something else), else |deviation| / prediction."""
+    dev = direct - prediction
+    return [h, n, formula, direct, prediction, dev,
+            abs(dev) / prediction if flag is None else float(flag)]
+
+
+def _disk_rows(args, spec: diskmod.DiskSpec, b0: float, a0res, cks):
+    """Spectrum rows and report rows of one h of the disk sweep."""
+    h = spec.h
+    sp = diskmod.dirac_spectrum(spec, max(args.pos, args.neg))
+    pos, neg = sp.pos[:args.pos], sp.neg[:args.neg]
+    spec_rows = [[h, branch, i + 1, val, m, k]
+                 for branch, vals, prov in (("pos", pos, sp.pos_provenance),
+                                            ("neg", neg, sp.neg_provenance))
+                 for i, (val, (m, k)) in enumerate(zip(vals, prov))]
+
+    # leading negative order: a0 sqrt(b0 h)
+    rows = [_report_row(h, 1, "lambda_minus_leading", neg[0], a0res.a0 * math.sqrt(b0 * h))]
+    # fine structure vs effective operator; a constant field b0 maps
+    # to the unit-field problem at h/b0 with energies scaled by b0
+    eff = effmod.qeff_disk(effmod.EffSpec.disk(args.R, h / b0, a0res.a0).t_h, args.R, len(neg))
+    rows += [_report_row(h, i + 1, "lambda_minus_fine", val,
+                         b0 * effmod.lambda_minus_prediction(i + 1, h / b0, a0res, eff))
+             for i, val in enumerate(neg)]
+    # positive eigenvalues vs C_k and the Hardy bound
+    hardy = diskmod.hardy_nu_k(spec, args.pos)
+    for i, ck in enumerate(cks):
+        rows.append(_report_row(h, i + 1, "lambda_plus_Ck", pos[i],
+                                ckmod.lambda_plus_prediction(ck, spec.gauge.phi_min, h)))
+        rows.append(_report_row(h, i + 1, "hardy_upper_bound", pos[i], hardy[i],
+                                pos[i] <= hardy[i] + 1e-12))
+    small = min(pos[0], neg[0])
+    rows.append(_report_row(h, 1, "zero_gap", small, 0.0, small > 1e-6))
     if args.zigzag:
-        result["zigzag_plus"] = diskmod.zigzag_spectrum(spec, "plus", 3)
-        result["zigzag_minus"] = diskmod.zigzag_spectrum(spec, "minus", 3)
-        result["b0"] = float(np.min(spec.field.samples(spec.rgrid.nodes())))
+        lowest, bound = diskmod.zigzag_spectrum(spec, "plus", 3)[0], 2.0 * b0 * h
+        rows.append(_report_row(h, 1, "zigzag_lower_bound", lowest, bound,
+                                lowest >= bound * (1 - 1e-3)))
     if args.oracle:
-        m, k = sp.neg_provenance[0]
+        m, _ = sp.neg_provenance[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            direct = diskmod.dirac_radial_direct(
-                spec, -(m + 1), 1, sigma=-sp.neg[0]
-            )
+            direct = diskmod.dirac_radial_direct(spec, -(m + 1), 1, sigma=-neg[0])
         below = direct[direct < 0]
-        result["oracle_neg1"] = float(-below[-1]) if below.size else float("nan")
-    return result
+        oracle = float(-below[-1]) if below.size else float("nan")
+        # relative to the direct value: the oracle checks it, not a prediction
+        rows.append(_report_row(h, 1, "oracle_agreement", neg[0], oracle,
+                                abs(neg[0] - oracle) / neg[0]))
+    return spec_rows, rows
 
 
 def cmd_disk(args) -> int:
-    hs = _parse_float_list(args.h)
+    hs = [_finite(t, "--h") for t in args.h.split(",") if t.strip()]
     if not hs or not all(h > 0 for h in hs):
         raise ConfigError(f"--h needs one or more positive values, got {args.h!r}")
     if args.pos < 1 or args.neg < 1:
@@ -260,87 +285,28 @@ def cmd_disk(args) -> int:
     if min(hs) < diskmod.POSITIVE_H_MIN:
         raise ConfigError(f"--h must be >= {diskmod.POSITIVE_H_MIN}, got {args.h!r}")
     out = _outdir(args)
-    results, errors = [], []
+    a0res = dispmod.find_a0(args.n_a0)
+    w, curve = ckmod.BargmannWeight.isotropic(b0), ckmod.BoundaryCurve.circle(args.R)
+    cks = [ckmod.ck_constant(k, w, curve) for k in range(1, args.pos + 1)]
+    blocks, errors = [], []
     for spec in specs:
         try:
-            results.append(_disk_single_h(args, spec))
+            blocks.append((spec.h, *_disk_rows(args, spec, b0, a0res, cks)))
         except Exception as exc:  # row-level isolation
-            errors.append((spec.h, f"{type(exc).__name__}: {exc}"))
-    results.sort(key=lambda r: -r["h"])
-
-    a0res = dispmod.find_a0(args.n_a0)
-    w = ckmod.BargmannWeight.isotropic(b0)
-    curve = ckmod.BoundaryCurve.circle(args.R)
-    cks = [ckmod.ck_constant(k, w, curve) for k in range(1, args.pos + 1)]
-
-    spec_rows = []
-    report_rows = []
-    for r in results:
-        h = r["h"]
-        for i, (val, prov) in enumerate(zip(r["pos"], r["pos_prov"])):
-            spec_rows.append([h, "pos", i + 1, val, prov[0], prov[1]])
-        for i, (val, prov) in enumerate(zip(r["neg"], r["neg_prov"])):
-            spec_rows.append([h, "neg", i + 1, val, prov[0], prov[1]])
-
-        # leading negative order: a0 sqrt(b0' h)
-        lead = a0res.a0 * math.sqrt(b0 * h)
-        report_rows.append(
-            [h, 1, "lambda_minus_leading", r["neg"][0], lead,
-             r["neg"][0] - lead, abs(r["neg"][0] - lead) / lead]
-        )
-        # fine structure vs effective operator; a constant field b0 maps
-        # to the unit-field problem at h/b0 with energies scaled by b0
-        es = effmod.EffSpec.disk(args.R, h / b0, a0res.a0)
-        eff = effmod.qeff_disk(es.t_h, args.R, len(r["neg"]))
-        for i in range(len(r["neg"])):
-            pred = b0 * effmod.lambda_minus_prediction(
-                i + 1, h / b0, a0res, eff
-            )
-            report_rows.append(
-                [h, i + 1, "lambda_minus_fine", r["neg"][i], pred,
-                 r["neg"][i] - pred, abs(r["neg"][i] - pred) / pred]
-            )
-        # positive eigenvalues vs C_k and the Hardy bound
-        for i, ck in enumerate(cks):
-            pred = ckmod.lambda_plus_prediction(ck, r["phi_min"], h)
-            report_rows.append(
-                [h, i + 1, "lambda_plus_Ck", r["pos"][i], pred,
-                 r["pos"][i] - pred, abs(r["pos"][i] - pred) / pred]
-            )
-            bound = r["hardy"][i]
-            report_rows.append(
-                [h, i + 1, "hardy_upper_bound", r["pos"][i], bound,
-                 r["pos"][i] - bound, float(r["pos"][i] <= bound + 1e-12)]
-            )
-        small = min(r["pos"][0], r["neg"][0])
-        report_rows.append([h, 1, "zero_gap", small, 0.0, small, float(small > 1e-6)])
-        if args.zigzag:
-            zb = 2.0 * r["b0"] * h
-            report_rows.append(
-                [h, 1, "zigzag_lower_bound", r["zigzag_plus"][0], zb,
-                 r["zigzag_plus"][0] - zb,
-                 float(r["zigzag_plus"][0] >= zb * (1 - 1e-3))]
-            )
-        if args.oracle:
-            report_rows.append(
-                [h, 1, "oracle_agreement", r["neg"][0], r["oracle_neg1"],
-                 r["neg"][0] - r["oracle_neg1"],
-                 abs(r["neg"][0] - r["oracle_neg1"]) / r["neg"][0]]
-            )
-    for h, msg in errors:
-        report_rows.append([h, 0, "error", float("nan"), float("nan"), float("nan"), msg])
+            errors.append([spec.h, 0, "error", math.nan, math.nan, math.nan,
+                           f"{type(exc).__name__}: {exc}"])
+    blocks.sort(key=lambda block: -block[0])  # stable: a repeated h keeps both blocks
 
     cfg = _config_dict(args)
     _write_csv(out / "disk_spectrum.csv", cfg,
-               ["h", "branch", "k", "eigenvalue", "mode", "mode_k"], spec_rows)
+               ["h", "branch", "k", "eigenvalue", "mode", "mode_k"],
+               [row for _, rows, _ in blocks for row in rows])
     _write_csv(out / "disk_report.csv", cfg,
                ["h", "n", "formula", "direct", "prediction", "deviation", "rel_or_flag"],
-               report_rows)
+               [row for _, _, rows in blocks for row in rows] + errors)
     print(f"wrote {out / 'disk_spectrum.csv'}")
     print(f"wrote {out / 'disk_report.csv'}")
-    if errors and not results:
-        return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_SOLVER if errors and not blocks else EXIT_OK
 
 
 # ------------------------------------------------------------------ constants
@@ -348,7 +314,7 @@ def cmd_disk(args) -> int:
 
 def cmd_constants(args) -> int:
     ks = _parse_int_range(args.k)
-    if not all(1 <= k <= ckmod.MAX_K for k in ks):
+    if max(ks) > ckmod.MAX_K:
         raise ConfigError(f"--k must lie in 1..{ckmod.MAX_K}, got {args.k!r}")
     b0 = float(args.B)
     if not b0 > 0:
@@ -540,22 +506,12 @@ def _glue_negative_sweeps(argv: List[str]) -> List[str]:
     """Join '--xi -2:8:0.1' into '--xi=-2:8:0.1' so argparse does not read
     the sweep (leading dash) as an option string."""
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and nxt.startswith("-")
-            and any(c in nxt for c in ":,")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and any(c in tok for c in ":,")):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -598,6 +554,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = _apply_config(parser, args, argv)
+        for key, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, f"--{key.replace('_', '-')}")
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

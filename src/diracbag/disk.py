@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse
@@ -136,17 +136,6 @@ def radial_phi(field: RadialField) -> RadialGauge:
     return RadialGauge(r=r, phi=phi, dphi=dphi, phi_min=float(phi[0]), hess=hess)
 
 
-def _radial_cells(spec: "DiskSpec") -> Tuple[np.ndarray, ...]:
-    """Nodes, flux midpoints, exact cell integrals of r dr, lumped masses and
-    phi' at the flux midpoints."""
-    g = spec.rgrid
-    nodes = g.nodes()
-    flux = np.arange(1, g.n) * g.step
-    mass = nodes * g.step
-    mass[-1] = spec.field.R * g.step / 2.0 - g.step**2 / 8.0
-    return nodes, flux, flux * g.step, mass, spec.gauge.dphi_at(flux)
-
-
 def _shifted_grid(R: float, n: int) -> Grid1D:
     # nodes (i + 1/2) * delta with the last node exactly at R; the origin is
     # avoided (mode-m radial functions behave like r^|m| there).
@@ -162,7 +151,6 @@ class DiskSpec:
     h: float
     m_range: Tuple[int, int]
     rgrid: Grid1D
-    _gauge: Optional[RadialGauge] = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -174,11 +162,20 @@ class DiskSpec:
         m_max = math.ceil(3.0 * field.R**2 / h)
         return cls(field=field, h=h, m_range=(-m_max, m_max), rgrid=_shifted_grid(field.R, n))
 
-    @property
+    @cached_property
     def gauge(self) -> RadialGauge:
-        if self._gauge is None:
-            self._gauge = radial_phi(self.field)
-        return self._gauge
+        return radial_phi(self.field)
+
+    @cached_property
+    def _cells(self) -> Tuple[np.ndarray, ...]:
+        """Nodes, flux midpoints, exact cell integrals of r dr, lumped masses
+        and phi' at the flux midpoints; shared by every mode operator."""
+        g = self.rgrid
+        nodes = g.nodes()
+        flux = np.arange(1, g.n) * g.step
+        mass = nodes * g.step
+        mass[-1] = self.field.R * g.step / 2.0 - g.step**2 / 8.0
+        return nodes, flux, flux * g.step, mass, self.gauge.dphi_at(flux)
 
 
 @dataclass
@@ -206,12 +203,12 @@ class _ModeOperator:
     so the cut is far below the discretization error).
     """
 
-    def __init__(self, spec: DiskSpec, m: int, field_sign: str, cells=None):
+    def __init__(self, spec: DiskSpec, m: int, field_sign: str):
         self.m, self.field_sign = m, field_sign
         if field_sign not in ("plus", "minus"):
             raise ValueError(f"field_sign must be 'plus' or 'minus', got {field_sign!r}")
         n, delta, h = spec.rgrid.n, spec.rgrid.step, spec.h
-        _, flux, c, mass, dphi = cells or _radial_cells(spec)
+        _, flux, c, mass, dphi = spec._cells
         s = 1.0 if field_sign == "plus" else -1.0
         w = -h * m / flux + s * dphi
 
@@ -417,8 +414,7 @@ def _merge_modes(
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
     # also enforces the h floor of the exponentially small branch
     lo, hi = _bracket_for(spec, m_lo, field_sign, 2)
-    cells = _radial_cells(spec)  # shared by the window's operators
-    ops = [_ModeOperator(spec, m, field_sign, cells) for m in range(m_lo, m_hi + 1)]
+    ops = [_ModeOperator(spec, m, field_sign) for m in range(m_lo, m_hi + 1)]
 
     def count_at(i: int, lam: float) -> int:
         return count_below(ops[i].matrix(lam), lam * lam)
@@ -485,11 +481,10 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    cells = _radial_cells(spec)
-    bvals = spec.field.samples(cells[0])
+    bvals = spec.field.samples(spec._cells[0])
     mats = []
     for m in range(spec.m_range[0], spec.m_range[1] + 1):
-        op = _ModeOperator(spec, m, "plus", cells)
+        op = _ModeOperator(spec, m, "plus")
         diag = op.diag[:-1]
         if branch == "plus":
             diag = diag + 2.0 * spec.h * bvals[op.first:-1]

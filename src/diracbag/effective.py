@@ -108,12 +108,11 @@ def _kappa_coefficients(spec: EffSpec, n_modes: int) -> np.ndarray:
         c[n_modes] = float(spec.kappa) ** 2 / 12.0
         return c
     vals = np.asarray(spec.kappa, dtype=float)
-    samples = vals.size
-    spectrum = np.fft.fft(vals**2 / 12.0) / samples
-    c = np.zeros(2 * n_modes + 1, dtype=complex)
-    for p in range(-n_modes, n_modes + 1):
-        c[p + n_modes] = spectrum[p % samples]
-    return c
+    spectrum = np.fft.fft(vals**2 / 12.0) / vals.size
+    # N samples interpolate with frequencies |p| <= N/2 only; aliases of the
+    # sampled spectrum above that are not the curvature's
+    p = np.arange(-n_modes, n_modes + 1)
+    return np.where(2 * np.abs(p) <= vals.size, spectrum[p % vals.size], 0.0)
 
 
 def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:

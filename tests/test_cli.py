@@ -162,7 +162,8 @@ def test_config_boolean_flag(tmp_path):
 @pytest.mark.parametrize("body", ["[momenta]\nbogus = 1\n",
                                   "[dispersion]\nbranch = nu-middle\n",
                                   "[disk]\nzigzag = maybe\n",
-                                  "[disk]\nworkers = 2\n"])
+                                  "[disk]\nworkers = 2\n",
+                                  "[constants]\nR = inf\n"])
 def test_config_bad_entry_is_config_error(tmp_path, body):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(body)
@@ -217,6 +218,14 @@ def test_effective_command_kappa_file(tmp_path):
     assert "gauge_periodicity_error" in names
     err = float(rows[names.index("gauge_periodicity_error")][1])
     assert err < 1e-10
+
+
+def test_effective_command_short_kappa_file(tmp_path):
+    # 8 samples determine kappa = 1 + 0.3 cos s: no CutoffError from aliases
+    kap = tmp_path / "kappa.csv"
+    np.savetxt(kap, 1.0 + 0.3 * np.cos(np.arange(8) / 8 * 2 * math.pi), delimiter=",")
+    assert run(["effective", "--kappa", str(kap), "--count", "5", "--n-a0", "1001",
+                "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 def test_effective_kappa_area_is_read_when_zero(tmp_path, monkeypatch):
@@ -299,6 +308,15 @@ GOLDEN = {
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
         "119b9b9e639b1b7d5ebfaa662e8ba6624e89e25af544a1a7c119890164dd6efb"),
+    # an unsorted h list with a repeated h, and the oracle row
+    "disk_spectrum_oracle.csv": (
+        ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
+         "--oracle", "--neg", "3", "--pos", "2"],
+        "6f3f46fa8d0aa3909ea6d26a9c0874871d4a1a9ec2db6b1f00bb61a90fd52914"),
+    "disk_report_oracle.csv": (
+        ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
+         "--oracle", "--neg", "3", "--pos", "2"],
+        "a4bac024439b37e408475a54c45a335cc6e5a338b5bff4b29e51d55f5cc8bc59"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
@@ -322,7 +340,7 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     s = np.arange(256) / 256 * 2 * math.pi
     np.savetxt("kappa.csv", 1.0 + 0.2 * np.cos(s), delimiter=",")
     assert run(argv + ["--out", "out"]) == 0
-    path = tmp_path / "out" / name.replace("_kappa", "")
+    path = tmp_path / "out" / name.replace("_kappa", "").replace("_oracle", "")
     if name.endswith(".stdout"):
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     elif name.endswith(".json"):
@@ -366,6 +384,19 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["disk", "--h", ","],
     ["disk", "--h", "-0.1"],
     ["disk", "--h", "0.2,-1"],
+    # --k below 1 on every branch, and non-finite numbers
+    ["dispersion", "--k", "0..2"],
+    ["dispersion", "--branch", "nu-plus", "--k", "0..1"],
+    ["dispersion", "--branch", "theta", "--k", "0..1"],
+    ["dispersion", "--xi", "0:inf:1"],
+    ["dispersion", "--alpha", "nan"],
+    ["disk", "--R", "inf"],
+    ["disk", "--h", "inf"],
+    ["disk", "--h", "0.2,nan"],
+    ["disk", "--B", "const:inf"],
+    ["constants", "--R", "inf"],
+    ["constants", "--B", "inf"],
+    ["effective", "--h", "inf"],
 ], ids=" ".join)
 def test_bad_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -408,6 +439,14 @@ FAIL_FAST = [
      "unresolvable on this grid (centrifugal cut at 300/301)"),
     (["disk", "--h", "0.01"], "--h must be >= 0.05, got '0.01'"),
     (["disk", "--h", "0.2,0.04"], "--h must be >= 0.05, got '0.2,0.04'"),
+    (["dispersion", "--k", "0..2"], "--k must be >= 1, got '0..2'"),
+    (["constants", "--k", "0"], "--k must be >= 1, got '0'"),
+    (["disk", "--R", "inf"], "--R must be finite, got inf"),
+    (["disk", "--h", "0.2,inf"], "--h must be finite, got inf"),
+    (["disk", "--B", "const:inf"], "--B must be finite, got inf"),
+    (["dispersion", "--xi", "0:inf:1"], "--xi must be finite, got inf"),
+    (["constants", "--B", "inf"], "--B must be finite, got inf"),
+    (["effective", "--n-a0", "1001", "--h", "nan"], "--h must be finite, got nan"),
 ]
 
 
@@ -442,6 +481,14 @@ def test_readme_usage_lines_parse():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(cli._glue_negative_sweeps(argv))
+
+
+def test_glue_negative_sweeps():
+    # a dash value with ':' or ',' joins the flag before it; a joined pair
+    # takes no further value
+    argv = ["--xi", "-2:8:0.1", "-3:4", "--k", "--h", "-1,2", "--n", "-5", "--B=-1:2"]
+    assert cli._glue_negative_sweeps(argv) == [
+        "--xi=-2:8:0.1", "-3:4", "--k", "--h=-1,2", "--n", "-5", "--B=-1:2"]
 
 
 def test_bad_sweep_is_config_error(tmp_path):

@@ -124,6 +124,33 @@ def test_qeff_cutoff_error_on_unresolved_kappa():
         effective.qeff_general(spec, 4)
 
 
+@pytest.mark.parametrize("samples", [7, 8, 256])
+def test_kappa_coefficients_against_the_loop(samples):
+    # reference: c_p = fft(kappa^2/12)[p mod N] / N for |p| <= N/2, else 0
+    s = 2 * math.pi * np.arange(samples) / samples
+    kappa = 1.0 + 0.3 * np.cos(s) + 0.1 * np.sin(3 * s)
+    spec = effective.EffSpec(L=2 * math.pi, t_h=0.37, kappa=kappa)
+    spectrum = np.fft.fft(kappa**2 / 12.0) / samples
+    n_modes = 144
+    want = [spectrum[p % samples] if 2 * abs(p) <= samples else 0.0
+            for p in range(-n_modes, n_modes + 1)]
+    got = effective._kappa_coefficients(spec, n_modes)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("samples", [5, 8, 16, 64])
+def test_qeff_general_short_kappa_file(samples):
+    # kappa^2 = (1 + 0.3 cos s)^2 has frequencies |p| <= 2, so a few samples
+    # determine it; coefficients above N/2 are zero, not aliases of lower ones
+    def spec(n):
+        s = 2 * math.pi * np.arange(n) / n
+        return effective.EffSpec(L=2 * math.pi, t_h=0.37, kappa=1.0 + 0.3 * np.cos(s))
+
+    want = effective.qeff_general(spec(4096), 5).values
+    got = effective.qeff_general(spec(samples), 5).values
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
 def test_lambda_minus_prediction():
     a0res = make_a0res()
     eff = effective.qeff_disk(1.34989, 1.0, 3)
