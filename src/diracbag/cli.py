@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
+_MAX_SWEEP_STEPS = 10**6  # each --xi point costs at least one eigensolve
 
 
 class ConfigError(ValueError):
@@ -82,8 +83,10 @@ def _parse_sweep(text: str) -> np.ndarray:
     lo, hi, step = (_finite(p, "--xi") for p in parts)
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad sweep {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    steps = (hi - lo) / step  # inf when the count overflows
+    if not steps <= _MAX_SWEEP_STEPS:
+        raise ConfigError(f"--xi must take at most {_MAX_SWEEP_STEPS} steps, got {text!r}")
+    return lo + step * np.arange(int(round(steps)) + 1)
 
 
 def _parse_field(text: str, R: float) -> diskmod.RadialField:

@@ -35,8 +35,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import (Grid1D, TridiagSym, _certified_sign, _norm1, count_below, eig_sym_tridiag,
-                       integrate)
+from .numerics import (Grid1D, TridiagSym, _certified_sign, _norm1, eig_sym_tridiag, integrate,
+                       pivot_count)
 
 __all__ = [
     "RadialField",
@@ -278,7 +278,7 @@ def _bisect_ell(op: _ModeOperator, k: int, lo: float, hi: float) -> float:
     ell_k is positive below its unique zero and negative above it (the
     discrete form satisfies the same second-order structure in lambda as the
     continuum one), so plain sign bisection applies.  Signs are eigensolved
-    only within stebz's stopping width of ell_k = 0, where Sturm counts cannot
+    only within stebz's stopping width of ell_k = 0, where counts cannot
     decide them (``numerics.certified_sign``): the root is that of eigensolving every step.
     """
     where = f"mode m={op.m}, {op.field_sign} branch, k={k}, last lambda"
@@ -402,13 +402,14 @@ def _merge_modes(
     """The ``count`` smallest roots E_k^{(m)} over the mode window.
 
     ell_k(lambda) < 0 exactly when Q_lambda has at least k eigenvalues below
-    lambda^2, so one Sturm count (``count_below``) per mode gives that mode's
-    number of roots below lambda; the screen recounts only modes still holding
-    one.  Every (m, k) it counts is bisected as in ``mode_E``.  Count and
-    eigensolve part within stebz's stopping width in ell_k, which moved roots by up to
-    2.4e-4 relative (plus-branch ground root, h = 0.05, n = 2001) and under
-    1e-7 for m >= 2: the screen's 1e-3 margin costs a few bisections at most
-    and can never drop a selected root.
+    lambda^2, so one count from the LDL^T pivots of Q_lambda - lambda^2
+    (``pivot_count``, capped at ``count``: no mode holds more selected roots)
+    per mode gives that mode's number of roots below lambda; the screen
+    recounts only modes still holding one.  Every (m, k) it counts is bisected
+    as in ``mode_E``.  Count and eigensolve part within stebz's stopping width
+    in ell_k, which moved roots by up to 2.4e-4 relative (plus-branch ground
+    root, h = 0.05, n = 2001) and under 1e-7 for m >= 2: the screen's 1e-3
+    margin costs a few bisections at most and can never drop a selected root.
     """
     m_lo, m_hi = spec.m_range
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
@@ -417,7 +418,7 @@ def _merge_modes(
     ops = [_ModeOperator(spec, m, field_sign) for m in range(m_lo, m_hi + 1)]
 
     def count_at(i: int, lam: float) -> int:
-        return count_below(ops[i].matrix(lam), lam * lam)
+        return pivot_count(ops[i].matrix(lam), lam * lam, count)
 
     entries: List[Tuple[float, int, int]] = []
     for op, below in zip(ops, _screen(count_at, len(ops), count, lo, hi, 8)):
@@ -494,7 +495,7 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     # contribute; the screen doubles and bisects that threshold, so the fewest
     # modes are eigensolved, each for at most ``count`` values
     def below(i: int, x: float) -> int:
-        return count_below(mats[i], x)
+        return pivot_count(mats[i], x, count)
 
     held = _screen(below, len(mats), count, 0.0, spec.h * float(np.max(np.abs(bvals))), 8)
     vals = [eig_sym_tridiag(t, min(count, t.n))[0] for t, k in zip(mats, held) if k]

@@ -149,7 +149,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
     1/4 from the last multiple of 1/4 at or below alpha / 2 (g >= nu_1^- > 0
     up to there) to (2 + alpha^2) / (2 alpha), the bound nu < 2 gives, or the
     end of the truncation; the first sign-changing cell is bisected on signs
-    of g, eigensolved only where Sturm counts cannot decide (``certified_sign``).
+    of g, eigensolved only where eigenvalue counts cannot decide (``certified_sign``).
     At small alpha g dips only ~alpha / 3 below zero; below the grid's error
     (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """

@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, linear solves, Sturm counts and the signs
-they certify, bracketed bisection and safeguarded Newton, and composite
-quadrature.  Everything here is a pure function of its inputs; callers may
-fan out over parameter grids freely.
+Symmetric tridiagonal eigensolves, linear solves, eigenvalue counts (Sturm
+sequences and LDL^T pivots) and the signs they certify, bracketed bisection
+and safeguarded Newton, and composite quadrature.  Everything here is a pure
+function of its inputs; callers may fan out over parameter grids freely.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "eig_sym_tridiag",
     "solve_sym_tridiag",
     "count_below",
+    "pivot_count",
     "certified_sign",
     "bisect",
     "newton",
@@ -34,7 +35,7 @@ __all__ = [
 ROOT_TOL = 1e-10
 
 _SIGN_GUARD = 64.0 * np.finfo(float).eps
-"""k = 1 signs first take definiteness passes at x -/+ this band per unit of
+"""Signs are first counted from LDL^T pivots at x -/+ this band per unit of
 ||T||_1: pttrf's pivots err from the Sturm count's by a few eps * ||T||_1."""
 
 
@@ -179,13 +180,23 @@ def count_below(m: TridiagSym, x: float) -> int:
     return int(found)
 
 
-def _any_below(m: TridiagSym, x: float) -> int:
-    """min(1, ``count_below(m, x)``) from one LDL^T pass: m - x I is positive
-    definite exactly when no eigenvalue is <= x (LAPACK pttrf stops at the
-    first non-positive pivot; those pivots are the Sturm recurrence's)."""
-    if m.n == 1:
-        return int(m.diag[0] <= x)
-    return int(scipy.linalg.lapack.dpttrf(m.diag - x, m.offdiag)[2] != 0)
+def pivot_count(m: TridiagSym, x: float, cap: int) -> int:
+    """min(cap >= 1, ``count_below(m, x)``) from the pivots of m - x I = L D L^T
+    (Sylvester's law of inertia), exact for a matrix within a few eps * ||m||_1
+    of m.  LAPACK pttrf stops at a pivot p <= 0: it is counted, set to -pivmin
+    = -tiny * max(1, max e^2) if |p| < pivmin (as in stebz), and pttrf resumes
+    with d_(i+1) - e_i^2 / p.  cap = 1 is one pass, a definiteness test."""
+    d, e, found = m.diag - x, m.offdiag, 0
+    while d.size > 1:
+        d, _, row = scipy.linalg.lapack.dpttrf(d, e, overwrite_d=1)
+        found += row > 0
+        if row == 0 or found == cap or row == d.size:
+            return found
+        if found == 1:
+            pivmin = np.finfo(float).tiny * max(1.0, float(np.max(m.offdiag ** 2)))
+        d[row] -= e[row - 1] ** 2 / (d[row - 1] if abs(d[row - 1]) >= pivmin else -pivmin)
+        d, e = d[row:], e[row:]
+    return found + int(d[0] <= 0.0)
 
 
 def _norm1(m: TridiagSym) -> float:
@@ -195,10 +206,10 @@ def _norm1(m: TridiagSym) -> float:
 
 
 def certified_sign(m: TridiagSym, x: float, k: int) -> float:
-    """-1.0 or +1.0, the sign of lambda_k(m) - x, where Sturm counts decide it,
-    else that difference, eigensolved: searches on signs and on values agree.
-    k = 1 first tries ``_any_below`` at x -/+ ``_SIGN_GUARD`` * ||m||_1; then
-    every k counts at x -/+ tau = eps (||m||_1 + 2|x|).  At tol = 0 stebz
+    """-1.0 or +1.0, the sign of lambda_k(m) - x, where counts decide it, else
+    that difference, eigensolved: searches on signs and on values agree.  Every
+    k counts first by ``pivot_count`` at x -/+ ``_SIGN_GUARD`` * ||m||_1, then
+    by ``count_below`` at x -/+ tau = eps (||m||_1 + 2|x|).  At tol = 0 stebz
     returns the midpoint of an [a, b] with its own count < k at a and >= k at
     b, narrower than max(eps ||m||_1, pivmin, 2 eps max(|a|, |b|)) up to
     rounding; that count is ``count_below``'s, monotone in x (Demmel, Dhillon,
@@ -209,8 +220,8 @@ def certified_sign(m: TridiagSym, x: float, k: int) -> float:
 def _certified_sign(m: TridiagSym, x: float, k: int, norm: float) -> float:
     """``certified_sign`` with norm = ``_norm1(m)`` given."""
     tau = np.finfo(float).eps * (norm + 2.0 * abs(x))
-    tiers = [(_any_below, _SIGN_GUARD * norm)] if k == 1 else []
-    for below, band in tiers + [(count_below, tau)]:
+    tiers = ((lambda t, y: pivot_count(t, y, k), _SIGN_GUARD * norm), (count_below, tau))
+    for below, band in tiers:
         if below(m, x - band) >= k:
             return -1.0
         if below(m, x + band) < k:

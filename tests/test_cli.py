@@ -389,6 +389,8 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["dispersion", "--branch", "nu-plus", "--k", "0..1"],
     ["dispersion", "--branch", "theta", "--k", "0..1"],
     ["dispersion", "--xi", "0:inf:1"],
+    ["dispersion", "--xi", "0:1e300:1e-300"],
+    ["dispersion", "--xi", "-1e308:1e308:1"],
     ["dispersion", "--alpha", "nan"],
     ["disk", "--R", "inf"],
     ["disk", "--h", "inf"],
@@ -445,6 +447,9 @@ FAIL_FAST = [
     (["disk", "--h", "0.2,inf"], "--h must be finite, got inf"),
     (["disk", "--B", "const:inf"], "--B must be finite, got inf"),
     (["dispersion", "--xi", "0:inf:1"], "--xi must be finite, got inf"),
+    (["dispersion", "--xi", "0:1e300:1e-300"],
+     "--xi must take at most 1000000 steps, got '0:1e300:1e-300'"),
+    (["dispersion", "--xi", "0:1:1e-7"], "--xi must take at most 1000000 steps, got '0:1:1e-7'"),
     (["constants", "--B", "inf"], "--B must be finite, got inf"),
     (["effective", "--n-a0", "1001", "--h", "nan"], "--h must be finite, got nan"),
 ]

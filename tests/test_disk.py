@@ -220,43 +220,52 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
     # eigensolve at every bisection step 338, and the zigzag solved every one
     # of the 31 modes per branch.  Screens that recounted every mode took
     # 1176 Sturm counts.
-    calls, counts = [], []
-    real_count, real_any = numerics.count_below, numerics._any_below
-    # the mode screens count and the zigzag solves in disk; the bisection
-    # signs count, and eigensolve inside their band, in numerics
+    calls, counts, sturm = [], [], []
+    real_pivots, real_sturm = numerics.pivot_count, numerics.count_below
+    # the mode screens count by pivots and the zigzag solves in disk; the
+    # bisection signs count, and eigensolve inside their band, in numerics
     for mod in (disk, numerics):
         real = mod.eig_sym_tridiag
         monkeypatch.setattr(
             mod, "eig_sym_tridiag", lambda *a, f=real, **kw: calls.append(1) or f(*a, **kw)
         )
         monkeypatch.setattr(
-            mod, "count_below", lambda *a: counts.append(1) or real_count(*a)
+            mod, "pivot_count", lambda *a: counts.append(1) or real_pivots(*a)
         )
-    # k = 1 signs take one definiteness pass each, counted with the Sturm counts
-    monkeypatch.setattr(numerics, "_any_below", lambda *a: counts.append(1) or real_any(*a))
+    monkeypatch.setattr(
+        numerics, "count_below", lambda *a: counts.append(1) or sturm.append(1) or real_sturm(*a)
+    )
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     disk.dirac_spectrum(spec, 5)
     spectrum_calls = len(calls)
     # 35 measured while every sign within 64 eps ||Q_lambda||_1 was eigensolved
     assert spectrum_calls <= 6  # 4 measured
-    assert len(counts) <= 1108  # 795 measured: 214 screen counts, 525 sign passes, 56 in-band counts
+    # 795 measured: 214 screen counts, 525 pivot-tier sign counts, 56 Sturm counts
+    assert len(counts) <= 1108
+    assert len(sturm) <= 80  # 56 measured, all in-band; 270 while the screens took them
+    sturm.clear()
     disk.zigzag_spectrum(spec, "plus", 3)
     disk.zigzag_spectrum(spec, "minus", 3)
     assert len(calls) - spectrum_calls <= 9  # 6 measured (9 with a doubled-only threshold)
+    assert sturm == []  # the zigzag screens count by pivots
 
 
 def test_dirac_spectrum_eigensolves_at_the_benchmark_configuration(unit_field, monkeypatch):
     # the benchmark's disk spectra: 165 eigensolves while every sign within
     # 64 eps ||Q_lambda||_1 was eigensolved, now only those within stebz's
     # stopping width of ell_k's zero (numerics.certified_sign)
-    calls = []
+    calls, sturm = [], []
     for mod in (disk, numerics):
         real = mod.eig_sym_tridiag
         monkeypatch.setattr(
             mod, "eig_sym_tridiag", lambda *a, f=real, **kw: calls.append(1) or f(*a, **kw))
+    real_sturm = numerics.count_below
+    monkeypatch.setattr(numerics, "count_below", lambda *a: sturm.append(1) or real_sturm(*a))
     for h in (0.2, 0.1):
         disk.dirac_spectrum(disk.DiskSpec.make(unit_field, h, n=2001), 5)
     assert len(calls) <= 60  # 48 measured
+    # the screens and the signs outside 64 eps ||Q_lambda||_1 count by pivots
+    assert len(sturm) <= 300  # 280 measured, 821 while they took Sturm counts
 
 
 def test_mode_operator_norm_is_the_matrix_norm(unit_field, monkeypatch):
@@ -299,10 +308,10 @@ def test_certified_signs_match_eigensolve_bisection(unit_field, monkeypatch):
     real_sign = disk._ModeOperator.ell_sign
     monkeypatch.setattr(disk._ModeOperator, "ell_sign",
                         lambda op, lam, k: signs.append(1) or real_sign(op, lam, k))
-    # the signs count and eigensolve in numerics (k = 1 by a definiteness
-    # pass); the mode screens keep their real counts in disk
+    # the signs count and eigensolve in numerics; the mode screens keep
+    # their real counts in disk
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
-    monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
+    monkeypatch.setattr(numerics, "pivot_count", lambda m, x, cap: math.nan)
     for mod in (disk, numerics):
         real = mod.eig_sym_tridiag
         monkeypatch.setattr(

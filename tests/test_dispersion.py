@@ -316,7 +316,7 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     # stebz's stopping width, numerics.certified_sign).
     calls, counts = [], []
     _count_eigensolves(monkeypatch, calls)
-    for name in ("count_below", "_any_below"):  # every sign here has k = 1
+    for name in ("count_below", "pivot_count"):
         real_count = getattr(numerics, name)
         monkeypatch.setattr(numerics, name, lambda *a, f=real_count: counts.append(1) or f(*a))
     dispersion.find_a0.__wrapped__(501)
@@ -324,8 +324,8 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     dispersion.c_gamma(0.8, 501)
     assert a0_calls <= 2  # 1 measured
     assert len(calls) - a0_calls <= 2  # 0 measured
-    assert a0_counts <= 75  # 50 measured, all definiteness passes
-    assert len(counts) - a0_counts <= 68  # 45 measured, all definiteness passes
+    assert a0_counts <= 75  # 50 measured, all definiteness passes (k = 1)
+    assert len(counts) - a0_counts <= 68  # 45 measured, all definiteness passes (k = 1)
     # at the benchmark's n = 4001 the counts decide find_a0's one in-band sign,
     # which took an eigensolve while the whole band was eigensolved
     calls.clear()
@@ -372,7 +372,7 @@ def test_halfplane_certified_signs_match_eigensolve_bisection(monkeypatch):
     monkeypatch.setattr(dispersion, "certified_sign",
                         lambda *a: signs.append(1) or real_sign(*a))
     monkeypatch.setattr(numerics, "count_below", lambda m, x: math.nan)
-    monkeypatch.setattr(numerics, "_any_below", lambda m, x: math.nan)
+    monkeypatch.setattr(numerics, "pivot_count", lambda m, x, cap: math.nan)
     monkeypatch.setattr(
         numerics, "eig_sym_tridiag", lambda *a, **kw: solves.append(1) or real_eig(*a, **kw))
     assert _halfplane_hex() == certified

@@ -10,13 +10,13 @@ from diracbag.numerics import (
     BracketError,
     Grid1D,
     TridiagSym,
-    _any_below,
     bisect,
     certified_sign,
     count_below,
     eig_sym_tridiag,
     integrate,
     newton,
+    pivot_count,
     solve_sym_tridiag,
 )
 from scipy.linalg import eigh_tridiagonal
@@ -148,46 +148,100 @@ def _around_the_first_eigenvalue(d, e, gap):
     return [vals[0] - step, vals[0] + step]
 
 
-def test_any_below_is_count_below_at_least_one():
-    # the one-pass definiteness test against the Sturm count on the count_below
-    # matrices: random, graded, orders one and two, outside the Gershgorin
-    # interval and exact eigenvalues, with levels on both sides of the first
+def _disk_forms():
+    # Q_lambda of two disk modes at their ground roots, and the plus-branch
+    # zigzag matrix of mode 0 (its form without the wall row)
+    spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), 0.1, 2001)
+    mats = []
+    for mode, branch in ((0, "plus"), (-2, "minus")):
+        op = disk._ModeOperator(spec, mode, branch)
+        mats.append(op.matrix(disk.mode_E(spec, mode, branch)))
+    mats.append(TridiagSym(op.diag[:-1], op.off[:-1]))
+    return mats
+
+
+def test_pivot_count_is_count_below_capped():
+    # the LDL^T pivot count against the Sturm count, capped at 1, 3 and
+    # beyond n, on the count_below matrices (random, graded, orders one and
+    # two, outside the Gershgorin interval, exact eigenvalues), random ones
+    # split by zero off-diagonals and disk forms, with levels on both sides
+    # of the lowest eigenvalues
     rng = np.random.default_rng(5)
     cases = []
     for _ in range(12):
         d, e = rng.normal(size=60), rng.normal(size=59)
         cases.append((d, e, [-3.0, -0.5, 0.0, 0.7, 2.5] + _around_the_first_eigenvalue(d, e, 1e-9)))
+    for _ in range(6):
+        d, e = rng.normal(size=40), rng.normal(size=39)
+        e[rng.choice(39, size=5, replace=False)] = 0.0
+        vals = eigh_tridiagonal(d, e, eigvals_only=True)
+        cases.append((d, e, list(_clear_shifts(vals, rng, 12, 1e-9))))
     rng = np.random.default_rng(9)
     d = 10.0 ** np.linspace(-8, 8, 80) * rng.uniform(0.5, 2.0, 80)
     e = np.sqrt(d[:-1] * d[1:]) * rng.uniform(-0.9, 0.9, 79)
     shifts = _clear_shifts(eigh_tridiagonal(d, e, eigvals_only=True), rng, 40, 1e-9)
     cases.append((d, e, list(shifts) + _around_the_first_eigenvalue(d, e, 1e-9)))
     cases.append((np.array([2.0]), np.zeros(0), [1.0, 2.0, 3.0]))
-    cases.append((np.array([0.0, 0.0]), np.array([1.0]), [-1.5, -1.0, -0.5, 0.5]))
+    cases.append((np.array([0.0, 0.0]), np.array([1.0]), [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]))
     rng = np.random.default_rng(13)
     d, e = rng.normal(size=30), rng.normal(size=29)
     reach = np.abs(d) + np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]])
     cases.append((d, e, [-reach.max() - 1.0, reach.max() + 1.0]))
-    cases.append((np.array([3.0, 1.0, 2.0, 2.0]), np.zeros(3), [0.5, 1.0, 1.5]))
+    cases.append((np.array([3.0, 1.0, 2.0, 2.0]), np.zeros(3), [0.5, 1.0, 1.5, 2.0, 3.0]))
+    for m in _disk_forms():
+        low = eig_sym_tridiag(m, 8)[0]
+        levels = np.concatenate([low * (1.0 - 1e-6), low * (1.0 + 1e-6), 0.5 * (low[1:] + low[:-1])])
+        cases.append((m.diag, m.offdiag, [-1.0, 0.0] + levels.tolist()))
     got, expected = [], []
     for d, e, levels in cases:
         m = TridiagSym(d, e)
-        got += [_any_below(m, x) for x in levels]
-        expected += [int(count_below(m, x) >= 1) for x in levels]
+        for cap in (1, 3, m.n + 1):
+            got += [pivot_count(m, x, cap) for x in levels]
+            expected += [min(cap, count_below(m, x)) for x in levels]
     assert got == expected
-    assert 0 < sum(got) < len(got)
+    assert {0, 1, 3} < set(got) and max(got) > 3
+
+
+def test_pivot_count_zero_and_last_pivots():
+    # an exactly zero pivot is counted (as -pivmin, like stebz) and the next
+    # row continues from it; a non-positive pivot in the last row, met in
+    # pttrf's pass or alone after a restart (|), is counted once.  Comments
+    # list the pivots of m - x I
+    zero_first = TridiagSym(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0]))  # x = 1: 0, +, +
+    zero_middle = TridiagSym(np.array([2.0, 2.0, 4.0, 0.0]), np.array([1.0, 1.0, 1.0]))  # x = 1: 1, 0, +, -
+    last = TridiagSym(np.array([2.0, 2.0, 0.5]), np.array([1.0, 1.0]))  # x = 0: 2, 1.5, -1/6
+    last_alone = TridiagSym(np.array([2.0, -1.0, -3.0]), np.array([1.0, 0.5]))  # 2, -1.5 | -17/6
+    for m, x, count in ((zero_first, 1.0, 1), (zero_middle, 1.0, 2), (last, 0.0, 1),
+                        (last_alone, 0.0, 2)):
+        assert count_below(m, x) == count
+        assert [pivot_count(m, x, cap) for cap in (1, 2, 3)] == [min(cap, count) for cap in (1, 2, 3)]
+
+
+def test_pivot_count_passes(monkeypatch):
+    # one pttrf pass per counted pivot, at most cap of them: cap = 1 is a
+    # single definiteness pass, as the k = 1 signs always took
+    passes = []
+    real = scipy.linalg.lapack.dpttrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf",
+                        lambda *a, **kw: passes.append(1) or real(*a, **kw))
+    m = TridiagSym(np.arange(1.0, 11.0), np.full(9, 0.1))  # eigenvalues near 1..10
+    for x, cap, count, calls in ((0.5, 1, 0, 1), (5.5, 1, 1, 1), (5.5, 3, 3, 3), (5.5, 20, 5, 6),
+                                 (10.5, 20, 10, 9)):
+        passes.clear()
+        assert pivot_count(m, x, cap) == count
+        assert len(passes) == calls
 
 
 def test_certified_sign_tiers(monkeypatch):
-    # eigenvalues 1, 2, 3 and ||m||_1 = 3.  k = 1: definiteness passes at
-    # x -/+ 64 eps * 3 (4.3e-14), then Sturm counts at x -/+ tau, tau = eps (3
-    # + 2|x|); every k > 1 starts with the counts.  Only levels inside +/- tau
-    # are eigensolved, and give the eigenvalue minus the level.
+    # eigenvalues 1, 2, 3 and ||m||_1 = 3.  Every k: pivot counts at x -/+ 64
+    # eps * 3 (4.3e-14), then Sturm counts at x -/+ tau, tau = eps (3 + 2|x|).
+    # Only levels inside +/- tau are eigensolved, and give the eigenvalue
+    # minus the level.
     m = TridiagSym(np.array([3.0, 1.0, 2.0]), np.zeros(2))
     lam1, lam2 = (float(v) for v in eig_sym_tridiag(m, 2)[0])
     eps = np.finfo(float).eps
     tiers = []
-    for name in ("_any_below", "count_below", "eig_sym_tridiag"):
+    for name in ("pivot_count", "count_below", "eig_sym_tridiag"):
         real = getattr(numerics, name)
         monkeypatch.setattr(numerics, name,
                             lambda *a, f=real, n=name: tiers.append(n) or f(*a))
@@ -198,18 +252,19 @@ def test_certified_sign_tiers(monkeypatch):
 
     tau1, tau2 = 5.0 * eps, 7.0 * eps
     assert [sign(x, 1) for x in (0.5, 1.5, 1.0 - 1e-13, 1.0 + 1e-14, 1.0 - 2.0 * tau1)] == [
-        (1.0, "_any_below"), (-1.0, "_any_below"), (1.0, "_any_below"),
+        (1.0, "pivot_count"), (-1.0, "pivot_count"), (1.0, "pivot_count"),
         (-1.0, "count_below"), (1.0, "count_below")]
     assert [sign(x, 1) for x in (1.0, 1.0 + 0.5 * tau1)] == [
         (lam1 - 1.0, "eig_sym_tridiag"), (lam1 - (1.0 + 0.5 * tau1), "eig_sym_tridiag")]
-    assert tiers == ["_any_below", "_any_below", "count_below", "count_below", "eig_sym_tridiag"]
-    # the level 2 + 1e-14, inside the old 64 eps band, is count-decided
+    assert tiers == ["pivot_count", "pivot_count", "count_below", "count_below", "eig_sym_tridiag"]
+    # k = 2 takes the same tiers: 2 + 1e-14 and 2 + 2 tau lie inside the
+    # 64 eps band and are count-decided
     assert [sign(x, 2) for x in (1.5, 2.5, 2.0 - 1e-9, 2.0 + 1e-14, 2.0 + 2.0 * tau2)] == [
-        (1.0, "count_below"), (-1.0, "count_below"), (1.0, "count_below"),
+        (1.0, "pivot_count"), (-1.0, "pivot_count"), (1.0, "pivot_count"),
         (-1.0, "count_below"), (-1.0, "count_below")]
     assert [sign(x, 2) for x in (2.0, 2.0 - 0.5 * tau2)] == [
         (lam2 - 2.0, "eig_sym_tridiag"), (lam2 - (2.0 - 0.5 * tau2), "eig_sym_tridiag")]
-    assert "_any_below" not in tiers
+    assert tiers == ["pivot_count", "pivot_count", "count_below", "count_below", "eig_sym_tridiag"]
 
 
 def _sign_scan_matrices():
