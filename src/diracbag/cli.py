@@ -143,6 +143,10 @@ def _outdir(args) -> Path:
 def cmd_dispersion(args) -> int:
     xi = _parse_sweep(args.xi)
     ks = _parse_int_range(args.k)
+    k_max = args.n - (2 if args.branch == "theta" else 1)  # the fiber matrix has n - 1 rows
+    if max(ks) > k_max:
+        raise ConfigError(f"--k must be <= {k_max} for --branch {args.branch} "
+                          f"at --n {args.n}, got {args.k!r}")
     out = _outdir(args)
     header = ["xi"]
     columns: List[List[float]] = []

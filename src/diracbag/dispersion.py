@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, certified_sign, eig_sym_tridiag, integrate, newton
+from .numerics import Bracket, Grid1D, bisect, certified_sign, integrate, newton, pivot_count
 from .numerics import solve_sym_tridiag
 
 __all__ = [
@@ -91,44 +91,43 @@ def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N) -> ThetaPoint:
     1 + (2 alpha / step) G(nu) = 0, G(s) = e_1^T (A_xi - s)^{-1} e_1 (Golub
     1973).  So theta is the root of H(alpha) = step / (2 alpha) + G(alpha^2),
     H' = -step / (2 alpha^2) + 2 alpha |x|^2 with x = (A_xi - alpha^2)^{-1} e_1,
-    and nu_k > alpha^2 exactly where alpha^2 <= lambda_k, or where alpha^2 is
-    in (lambda_k, lambda_{k+1}) and H < 0.  One two-value eigensolve gives the
-    interlacing bracket (sqrt(lambda_k), sqrt(lambda_{k+1})); if lambda_k <= 0
-    its lower end steps up by 10x from 1e-8 until nu_k > alpha^2, and a root
-    below that resolution floor is returned as theta = 0.0.  Safeguarded
-    Newton on H from the midpoint costs one O(n) tridiagonal solve per step
-    and never evaluates the bracket ends, which are poles of H.
+    and nu_k > alpha^2 exactly where alpha^2 < lambda_k, or where alpha^2 is
+    in [lambda_k, lambda_{k+1}) and H < 0.  Nothing is eigensolved: the LDL^T
+    count of eigenvalues <= alpha^2 (``pivot_count``, capped at k + 1) gives
+    the sign off (sqrt(lambda_k), sqrt(lambda_{k+1})), and one O(n) solve
+    gives H and H' on it.  The count is exact for a matrix within a few eps *
+    ||A_xi||_1 of A_xi, the error of stebz's lambda_k.  The lower end steps up
+    by 10x from 1e-8 until nu_k > alpha^2 (a root below that resolution floor
+    is returned as theta = 0.0), the upper end doubles from sqrt(2k) + 1, and
+    safeguarded Newton, which bisects where the derivative is 0, runs between.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not 1 <= k <= n - 2:  # A_xi has n - 1 rows; the bracket needs lambda_{k+1}
+        raise ValueError(f"need 1 <= k <= n - 2, got k={k}, n={n}")
     grid = fiber.default_grid(xi, n)
     a_xi = fiber.half_line_matrix(sign, xi, grid)
-    lam_k, lam_next = (float(v) for v in eig_sym_tridiag(a_xi, k + 1, lower=k)[0])
     e1 = np.eye(1, a_xi.n)[0]
     half_step = 0.5 * grid.step
 
     def hd(alpha: float) -> Tuple[float, float]:
+        poles = pivot_count(a_xi, alpha * alpha, k + 1)
+        if poles != k:  # outside (sqrt(lambda_k), sqrt(lambda_{k+1})): the sign only
+            return (-1.0 if poles < k else 1.0), 0.0
         x = solve_sym_tridiag(a_xi, e1, alpha * alpha)
         return half_step / alpha + x[0], -half_step / alpha**2 + 2.0 * alpha * (x @ x)
 
-    def nu_above(alpha: float) -> bool:  # nu_k(alpha) > alpha^2, given lambda_k < alpha^2
-        return alpha * alpha < lam_next and hd(alpha)[0] < 0.0
-
-    if lam_k > 0.0:
-        lo = math.sqrt(lam_k)
-    else:
-        # the lower end must clear the O(step^2) discretization floor of
-        # nu_k: near a zero mode the discrete nu can dip a few 1e-6 below
-        # zero, which would fake a sign change at alpha ~ 0
-        lo = _ALPHA_EPS
-        above = nu_above(lo)
-        while not above and lo < 0.3 * (math.sqrt(2.0 * k) + 1.0):
-            lo *= 10.0
-            above = nu_above(lo)
-        if not above:  # the first plus curve deep in its flat tail
+    # the lower end clears the O(step^2) floor of nu_k: near a zero mode the
+    # discrete nu dips a few 1e-6 below zero, a fake sign change at alpha ~ 0
+    lo, hi = _ALPHA_EPS, math.sqrt(2.0 * k) + 1.0
+    while hd(lo)[0] >= 0.0:
+        if lo >= 0.3 * hi:  # the first plus curve deep in its flat tail
             return ThetaPoint(sign=sign, k=k, xi=xi, theta=0.0)
-    root = newton(hd, Bracket(lo, math.sqrt(lam_next), -math.inf, math.inf))
-    return ThetaPoint(sign=sign, k=k, xi=xi, theta=float(root))
+        lo *= 10.0
+    for _ in range(64):  # ends once alpha^2 > ||A_xi||_1 >= lambda_{k+1}
+        if hd(hi)[0] > 0.0:
+            root = newton(hd, Bracket(lo, hi, -1.0, 1.0))
+            return ThetaPoint(sign=sign, k=k, xi=xi, theta=float(root))
+        hi *= 2.0
+    raise RuntimeError(f"theta_{k}^{sign}({xi}) lies above alpha = {hi:.3g}; no bracket")
 
 
 def _truncation(alpha: float) -> float:

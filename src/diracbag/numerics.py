@@ -118,10 +118,8 @@ def eig_sym_tridiag(
     m: TridiagSym,
     k: int,
     vectors: bool = False,
-    lower: int = 1,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Eigenvalues lower..k (ascending, 1-based) of a symmetric tridiagonal
-    matrix; the default ``lower = 1`` gives the k smallest.
+    """The k smallest eigenvalues (ascending) of a symmetric tridiagonal matrix.
 
     Values are computed by Sturm-sequence bisection and, when requested,
     eigenvectors by inverse iteration (LAPACK stebz/stein via scipy), with
@@ -131,8 +129,6 @@ def eig_sym_tridiag(
     """
     if k < 1 or k > m.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={m.n}")
-    if not 1 <= lower <= k:
-        raise ValueError(f"need 1 <= lower <= k, got lower={lower}, k={k}")
     try:
         if m.n == 1:
             vals = np.array([m.diag[0]])
@@ -143,7 +139,7 @@ def eig_sym_tridiag(
                 m.offdiag,
                 eigvals_only=not vectors,
                 select="i",
-                select_range=(lower - 1, k - 1),
+                select_range=(0, k - 1),
             )
             vals, vecs = out if vectors else (out, None)
     except (scipy.linalg.LinAlgError, ValueError) as exc:

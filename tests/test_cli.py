@@ -80,7 +80,7 @@ def test_dispersion_theta_floor_is_reported(tmp_path, capsys):
     meta, header, rows = read_csv(out / "dispersion_theta.csv")
     assert rows[0][:2] == ["-8", "0"]
     assert meta["sha256"] == (
-        "ede94637915ee46f167ec89bd59ba70f1b0704fc9900f8b99902e56164e7bd96")
+        "9c8ebad97c497ee3d2c5fc3a044f31b98ff1bff56b9d44e4b01841f4758fd64f")
 
 
 def test_a0_command(tmp_path):
@@ -289,7 +289,7 @@ GOLDEN = {
     "dispersion_theta.csv": (
         ["dispersion", "--branch", "theta", "--k", "1..1", "--xi", "1:2:0.5",
          "--n", "501"],
-        "48bc65bfa049e458f5c09e8edd33e319a18599eb6a6444337ddbad21d87285a0"),
+        "043d89d44532d2b7a5c922690e29360094ddab59172e28b9f068abb80bf69293"),
     "momenta.csv": (
         ["momenta", "--alpha", "1.3132547", "--xi", "1.3132547", "--n", "1001"],
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),
@@ -388,6 +388,9 @@ def test_payload_sha256_golden(tmp_path, monkeypatch, capsys, name):
     ["dispersion", "--k", "0..2"],
     ["dispersion", "--branch", "nu-plus", "--k", "0..1"],
     ["dispersion", "--branch", "theta", "--k", "0..1"],
+    # --k above what the grid holds: theta needs k <= n - 2, nu k <= n - 1
+    ["dispersion", "--branch", "theta", "--k", "1..500", "--xi", "0:4:0.5", "--n", "501"],
+    ["dispersion", "--branch", "nu-plus", "--k", "1..501", "--n", "501"],
     ["dispersion", "--xi", "0:inf:1"],
     ["dispersion", "--xi", "0:1e300:1e-300"],
     ["dispersion", "--xi", "-1e308:1e308:1"],
@@ -442,6 +445,10 @@ FAIL_FAST = [
     (["disk", "--h", "0.01"], "--h must be >= 0.05, got '0.01'"),
     (["disk", "--h", "0.2,0.04"], "--h must be >= 0.05, got '0.2,0.04'"),
     (["dispersion", "--k", "0..2"], "--k must be >= 1, got '0..2'"),
+    (["dispersion", "--branch", "theta", "--k", "1..500", "--xi", "0:4:0.5", "--n", "501"],
+     "--k must be <= 499 for --branch theta at --n 501, got '1..500'"),
+    (["dispersion", "--branch", "nu-minus", "--k", "1..501", "--n", "501"],
+     "--k must be <= 500 for --branch nu-minus at --n 501, got '1..501'"),
     (["constants", "--k", "0"], "--k must be >= 1, got '0'"),
     (["disk", "--R", "inf"], "--R must be finite, got inf"),
     (["disk", "--h", "0.2,inf"], "--h must be finite, got inf"),
@@ -457,7 +464,11 @@ FAIL_FAST = [
 
 @pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
 def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
-    # a0, the C_k and the disk spectra must not be computed for a run that fails
+    # a0, the C_k, the disk spectra and the dispersion curves must not be
+    # computed for a run that fails
+    monkeypatch.setattr(cli.dispmod, "theta", lambda *a, **kw: pytest.fail("theta was called"))
+    monkeypatch.setattr(cli.fibermod, "nu_values",
+                        lambda *a, **kw: pytest.fail("nu_values was called"))
     monkeypatch.setattr(cli.dispmod, "find_a0",
                         lambda *a, **kw: pytest.fail("find_a0 was called"))
     monkeypatch.setattr(cli.ckmod, "ck_constant",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracbag import dispersion, fiber, numerics
 from diracbag.numerics import Bracket, Grid1D, bisect
@@ -40,27 +41,74 @@ def test_theta_matches_bisection_oracle():
         assert abs(got - _theta_by_bisection(sign, k, xi, n)) <= 2e-10
 
 
-def test_theta_eigensolve_counts(monkeypatch):
-    # one two-value eigensolve of A_xi per point gives the interlacing
-    # bracket; Newton on the secular equation then costs one O(n) tridiagonal
-    # solve per step (5-8 a point, 13-15 where the floor loop runs).  The
-    # eigenpair Newton it replaced took 68 eigensolves here, bisection 276.
-    eigs, solves = [], []
-    real_eig, real_solve = dispersion.eig_sym_tridiag, dispersion.solve_sym_tridiag
-    monkeypatch.setattr(
-        dispersion, "eig_sym_tridiag", lambda *a, **kw: eigs.append(1) or real_eig(*a, **kw)
-    )
-    monkeypatch.setattr(
-        dispersion, "solve_sym_tridiag",
-        lambda *a, **kw: solves.append(1) or real_solve(*a, **kw),
-    )
-    monkeypatch.setattr(fiber, "eig_sym_tridiag", None)  # no fiber solve on this path
+@pytest.fixture
+def theta_work(monkeypatch):
+    # theta's work by kind: every eigensolve anywhere (scipy's driver under
+    # eig_sym_tridiag), and theta's own tridiagonal solves and pivot counts
+    work = {"eig": 0, "solve": 0, "count": 0}
+
+    def counted(kind, fn):
+        def call(*a, **kw):
+            work[kind] += 1
+            return fn(*a, **kw)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        counted("eig", scipy.linalg.eigh_tridiagonal))
+    monkeypatch.setattr(dispersion, "solve_sym_tridiag",
+                        counted("solve", dispersion.solve_sym_tridiag))
+    monkeypatch.setattr(dispersion, "pivot_count", counted("count", dispersion.pivot_count))
+    return work
+
+
+def test_theta_eigensolve_counts(theta_work):
+    # no eigensolve: LDL^T pole counts place each Newton point against the
+    # poles sqrt(lambda_k), sqrt(lambda_{k+1}) of the secular equation, and
+    # between them one O(n) tridiagonal solve gives H and H'
     points = (("plus", 1, -1.5), ("plus", 1, -1.0), ("plus", 2, 0.5), ("plus", 3, 2.0),
               ("minus", 1, 1.0), ("minus", 2, -1.0), ("minus", 3, 3.0))
     for sign, k, xi in points:
         assert dispersion.theta(sign, k, xi, n=501).theta > 0.0
-    assert len(eigs) == len(points)
-    assert len(solves) <= 94  # 63 measured
+    assert theta_work["eig"] == 0
+    assert theta_work["solve"] <= 96  # 74 measured
+    assert theta_work["count"] <= 125  # 96 measured
+
+
+def test_theta_sweep_counts(theta_work):
+    # the 78 points of the seed-0 benchmark sweep, as `dispersion --branch theta
+    # --k 1..3 --xi -2:4:0.5 --n 2001` computes them
+    for xi in np.arange(13) * 0.5 - 2.0:
+        for sign in ("plus", "minus"):
+            for k in (1, 2, 3):
+                assert dispersion.theta(sign, k, float(xi), n=2001).theta > 0.0
+    assert theta_work["eig"] == 0
+    assert theta_work["solve"] <= 790  # 609 measured
+    assert theta_work["count"] <= 1150  # 887 measured
+
+
+def test_theta_far_field(theta_work):
+    # far from the wall (minus at xi = 8, plus at xi = -8) the root sits
+    # within rounding of the pole sqrt(lambda_k); plus k = 1 at xi = -8 is the
+    # resolution floor
+    for sign in ("plus", "minus"):
+        for k in (1, 2, 3):
+            for xi in (-8.0, 8.0):
+                before = theta_work["solve"]
+                th = dispersion.theta(sign, k, xi, n=2001).theta
+                assert theta_work["solve"] - before <= 24  # 20 measured
+                if (sign, k, xi) == ("plus", 1, -8.0):
+                    assert th == 0.0
+                    continue
+                resid = fiber.nu_k(sign, k, th, xi, n=2001) - th * th
+                assert abs(resid) <= 5e-10  # 2.4e-10 measured
+
+
+def test_theta_k_above_grid_raises_before_solving(theta_work):
+    # A_xi has n - 1 rows, so k + 1 <= n - 1; a count capped at k + 1 could never reach it
+    with pytest.raises(ValueError, match="need 1 <= k <= n - 2, got k=500, n=501"):
+        dispersion.theta("minus", 500, 1.0, 501)
+    assert theta_work == {"eig": 0, "solve": 0, "count": 0}
+    assert dispersion.theta("minus", 499, 1.0, 501).theta > 0.0
 
 
 def test_theta_lies_in_the_interlacing_bracket():

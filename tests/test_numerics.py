@@ -66,20 +66,6 @@ def test_eig_interlacing_under_refinement():
 def test_eig_k_out_of_range():
     with pytest.raises(ValueError):
         eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 3)
-    for lower in (0, 3):
-        with pytest.raises(ValueError):
-            eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 2, lower=lower)
-
-
-def test_eig_lower_index_selects_pairs():
-    rng = np.random.default_rng(3)
-    m = TridiagSym(rng.normal(size=60), rng.normal(size=59))
-    full, fvecs = eig_sym_tridiag(m, 6, vectors=True)
-    for lower in range(1, 7):
-        vals, vecs = eig_sym_tridiag(m, 6, vectors=True, lower=lower)
-        assert vals == pytest.approx(full[lower - 1:], abs=1e-12)
-        overlap = np.abs(np.sum(vecs * fvecs[:, lower - 1:], axis=0))
-        assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
 def _counts_below(d, e, shifts):
@@ -314,8 +300,6 @@ def test_eig_sym_tridiag_is_stebz_at_zero_tolerance():
             mk, w, *_, info = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, 1, k, 0.0, "E")
             assert info == 0 and mk == k
             assert got.tobytes() == w[:k].tobytes()
-            mk, w, *_ = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, k, k, 0.0, "E")
-            assert eig_sym_tridiag(m, k, lower=k)[0].tobytes() == w[:1].tobytes()
 
 
 def test_bisect_sqrt2():
