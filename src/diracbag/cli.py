@@ -39,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
 _MAX_SWEEP_STEPS = 10**6  # each --xi point costs at least one eigensolve
+_MAX_N = 10**6  # grid nodes of --n and --n-a0: each solve holds a few arrays of this size
 
 
 class ConfigError(ValueError):
@@ -562,8 +563,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "config", None):
             args = _apply_config(parser, args, argv)
         for key, value in vars(args).items():
+            flag = f"--{key.replace('_', '-')}"
             if isinstance(value, float):
-                _finite(value, f"--{key.replace('_', '-')}")
+                _finite(value, flag)
+            if key in ("n", "n_a0") and not 3 <= value <= _MAX_N:
+                raise ConfigError(f"{flag} must lie in 3..{_MAX_N}, got {value}")
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

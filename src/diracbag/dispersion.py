@@ -19,8 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, certified_sign, integrate, newton, pivot_count
-from .numerics import solve_sym_tridiag
+from .numerics import Bracket, Grid1D, bisect, certified_sign, integrate, newton, pivot_resolvent
 
 __all__ = [
     "ThetaPoint",
@@ -90,30 +89,29 @@ def theta(sign: str, k: int, xi: float, n: int = fiber.DEFAULT_N) -> ThetaPoint:
     eigenvalues lambda_k < lambda_{k+1} of A_xi of the secular equation
     1 + (2 alpha / step) G(nu) = 0, G(s) = e_1^T (A_xi - s)^{-1} e_1 (Golub
     1973).  So theta is the root of H(alpha) = step / (2 alpha) + G(alpha^2),
-    H' = -step / (2 alpha^2) + 2 alpha |x|^2 with x = (A_xi - alpha^2)^{-1} e_1,
-    and nu_k > alpha^2 exactly where alpha^2 < lambda_k, or where alpha^2 is
-    in [lambda_k, lambda_{k+1}) and H < 0.  Nothing is eigensolved: the LDL^T
-    count of eigenvalues <= alpha^2 (``pivot_count``, capped at k + 1) gives
-    the sign off (sqrt(lambda_k), sqrt(lambda_{k+1})), and one O(n) solve
-    gives H and H' on it.  The count is exact for a matrix within a few eps *
-    ||A_xi||_1 of A_xi, the error of stebz's lambda_k.  The lower end steps up
-    by 10x from 1e-8 until nu_k > alpha^2 (a root below that resolution floor
-    is returned as theta = 0.0), the upper end doubles from sqrt(2k) + 1, and
-    safeguarded Newton, which bisects where the derivative is 0, runs between.
+    H' = -step / (2 alpha^2) + 2 alpha G'(alpha^2), and nu_k > alpha^2
+    exactly where alpha^2 < lambda_k, or where alpha^2 is in [lambda_k,
+    lambda_{k+1}) and H < 0.  Nothing is eigensolved or solved: one LDL^T
+    pass per alpha (``pivot_resolvent``, capped at k + 1) counts the
+    eigenvalues <= alpha^2, which gives the sign off (sqrt(lambda_k),
+    sqrt(lambda_{k+1})), and on it G and G' come from the same pivots.  The
+    count is exact for a matrix within a few eps * ||A_xi||_1 of A_xi, the
+    error of stebz's lambda_k.  The lower end steps up by 10x from 1e-8
+    until nu_k > alpha^2 (a root below that resolution floor is returned as
+    theta = 0.0), the upper end doubles from sqrt(2k) + 1, and safeguarded
+    Newton, which bisects where the derivative is 0, runs between.
     """
     if not 1 <= k <= n - 2:  # A_xi has n - 1 rows; the bracket needs lambda_{k+1}
         raise ValueError(f"need 1 <= k <= n - 2, got k={k}, n={n}")
     grid = fiber.default_grid(xi, n)
     a_xi = fiber.half_line_matrix(sign, xi, grid)
-    e1 = np.eye(1, a_xi.n)[0]
     half_step = 0.5 * grid.step
 
     def hd(alpha: float) -> Tuple[float, float]:
-        poles = pivot_count(a_xi, alpha * alpha, k + 1)
+        poles, g, dg = pivot_resolvent(a_xi, alpha * alpha, k + 1)
         if poles != k:  # outside (sqrt(lambda_k), sqrt(lambda_{k+1})): the sign only
             return (-1.0 if poles < k else 1.0), 0.0
-        x = solve_sym_tridiag(a_xi, e1, alpha * alpha)
-        return half_step / alpha + x[0], -half_step / alpha**2 + 2.0 * alpha * (x @ x)
+        return half_step / alpha + g, -half_step / alpha**2 + 2.0 * alpha * dg
 
     # the lower end clears the O(step^2) floor of nu_k: near a zero mode the
     # discrete nu dips a few 1e-6 below zero, a fake sign change at alpha ~ 0

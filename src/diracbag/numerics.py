@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, linear solves, eigenvalue counts (Sturm
-sequences and LDL^T pivots) and the signs they certify, bracketed bisection
-and safeguarded Newton, and composite quadrature.  Everything here is a pure
+Symmetric tridiagonal eigensolves, eigenvalue counts (Sturm sequences and
+LDL^T pivots) and the signs they certify, the corner entry of a shifted
+inverse and its derivative from the same pivots, bracketed bisection and
+safeguarded Newton, and composite quadrature.  Everything here is a pure
 function of its inputs; callers may fan out over parameter grids freely.
 """
 
@@ -22,9 +23,9 @@ __all__ = [
     "EigenConvergenceError",
     "BracketError",
     "eig_sym_tridiag",
-    "solve_sym_tridiag",
     "count_below",
     "pivot_count",
+    "pivot_resolvent",
     "certified_sign",
     "bisect",
     "newton",
@@ -147,21 +148,6 @@ def eig_sym_tridiag(
     return np.asarray(vals, dtype=float), vecs
 
 
-def solve_sym_tridiag(m: TridiagSym, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Solution x of (m - shift I) x = rhs in O(n), for n >= 2 and a vector
-    ``rhs`` or one right-hand side per column.  Gaussian elimination with
-    partial pivoting (LAPACK gtsv), so m - shift I may be indefinite; an
-    exactly zero pivot (a singular system) raises LinAlgError.
-    """
-    b = np.asarray(rhs, dtype=float)
-    *_, x, info = scipy.linalg.lapack.dgtsv(
-        m.offdiag, m.diag - shift, m.offdiag, b.reshape(m.n, -1)
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot in row {info}")
-    return x.reshape(b.shape)
-
-
 def count_below(m: TridiagSym, x: float) -> int:
     """Number of eigenvalues <= x of a symmetric tridiagonal matrix, from one
     O(n) Sturm sequence (LAPACK stebz on (-inf, x] with an infinite tolerance,
@@ -176,23 +162,47 @@ def count_below(m: TridiagSym, x: float) -> int:
     return int(found)
 
 
-def pivot_count(m: TridiagSym, x: float, cap: int) -> int:
-    """min(cap >= 1, ``count_below(m, x)``) from the pivots of m - x I = L D L^T
-    (Sylvester's law of inertia), exact for a matrix within a few eps * ||m||_1
-    of m.  LAPACK pttrf stops at a pivot p <= 0: it is counted, set to -pivmin
-    = -tiny * max(1, max e^2) if |p| < pivmin (as in stebz), and pttrf resumes
-    with d_(i+1) - e_i^2 / p.  cap = 1 is one pass, a definiteness test."""
-    d, e, found = m.diag - x, m.offdiag, 0
+def _ldl_passes(d: np.ndarray, e: np.ndarray, cap: int, offdiag: np.ndarray) -> int:
+    """min(cap >= 1, number of pivots <= 0) of the tridiagonal (d, e) = L D L^T,
+    factored in place up to the pivot that reaches cap (d becomes the pivots,
+    e the multipliers).  LAPACK pttrf stops at a pivot p <= 0: it is counted,
+    set to -pivmin = -tiny * max(1, max offdiag^2) if |p| < pivmin (as in
+    stebz), and the next pass resumes below it; cap = 1 is one pass."""
+    found = 0
     while d.size > 1:
-        d, _, row = scipy.linalg.lapack.dpttrf(d, e, overwrite_d=1)
+        row = scipy.linalg.lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
         found += row > 0
         if row == 0 or found == cap or row == d.size:
             return found
         if found == 1:
-            pivmin = np.finfo(float).tiny * max(1.0, float(np.max(m.offdiag ** 2)))
-        d[row] -= e[row - 1] ** 2 / (d[row - 1] if abs(d[row - 1]) >= pivmin else -pivmin)
-        d, e = d[row:], e[row:]
+            pivmin = np.finfo(float).tiny * max(1.0, float(np.max(offdiag ** 2)))
+        p = d[row - 1] if abs(d[row - 1]) >= pivmin else -pivmin
+        d[row] -= e[row - 1] ** 2 / p
+        e[row - 1] /= p
+        d, e = d[row:], e[row:]  # views: the next pass writes into the caller's arrays
     return found + int(d[0] <= 0.0)
+
+
+def pivot_count(m: TridiagSym, x: float, cap: int) -> int:
+    """min(cap >= 1, ``count_below(m, x)``) from the pivots of m - x I = L D L^T
+    (Sylvester's law of inertia), exact for a matrix within a few eps * ||m||_1 of m."""
+    return _ldl_passes(m.diag - x, m.offdiag.copy(), cap, m.offdiag)
+
+
+def pivot_resolvent(m: TridiagSym, x: float, cap: int) -> Tuple[int, float, float]:
+    """(count, G, G') from one factorization m - x I = U D U^T bottom up
+    (``_ldl_passes`` on the reversed rows): count as ``pivot_count``, and below
+    cap G = e_1^T (m - x I)^-1 e_1, G' = dG/dx = |y|^2, y = (m - x I)^-1 e_1
+    (else NaN).  Row 1 is factored last and U e_1 = e_1, so G = 1 / gamma_1,
+    its pivot (Dhillon and Parlett 2004); U^T y = G e_1 gives y_1 = G, y_(i+1)
+    = -u_i y_i with the multipliers u.  gamma_1 = 0 exactly is a pole: G = -inf."""
+    d, u = m.diag[::-1] - x, m.offdiag[::-1].copy()
+    found = _ldl_passes(d, u, cap, m.offdiag)
+    if found == cap:
+        return found, math.nan, math.nan
+    g = 1.0 / float(d[-1]) if d[-1] != 0.0 else -math.inf
+    y = np.cumprod(-u[::-1])
+    return found, g, (1.0 + float(y @ y)) * g * g
 
 
 def _norm1(m: TridiagSym) -> float:

@@ -80,7 +80,7 @@ def test_dispersion_theta_floor_is_reported(tmp_path, capsys):
     meta, header, rows = read_csv(out / "dispersion_theta.csv")
     assert rows[0][:2] == ["-8", "0"]
     assert meta["sha256"] == (
-        "9c8ebad97c497ee3d2c5fc3a044f31b98ff1bff56b9d44e4b01841f4758fd64f")
+        "ac575f90e52acb456c5798f10f4f038e05e67f9ed91070165fdfc1b5529a2d1d")
 
 
 def test_a0_command(tmp_path):
@@ -289,7 +289,7 @@ GOLDEN = {
     "dispersion_theta.csv": (
         ["dispersion", "--branch", "theta", "--k", "1..1", "--xi", "1:2:0.5",
          "--n", "501"],
-        "043d89d44532d2b7a5c922690e29360094ddab59172e28b9f068abb80bf69293"),
+        "71083aebd530b5276377608cc1c4becfcbdc6762ddd110ea04fb56af9157ee6d"),
     "momenta.csv": (
         ["momenta", "--alpha", "1.3132547", "--xi", "1.3132547", "--n", "1001"],
         "f6849c8b4bf0e2a3aca107cd6d59040363337cf57504960fad295bc2f10e8d39"),
@@ -459,18 +459,30 @@ FAIL_FAST = [
     (["dispersion", "--xi", "0:1:1e-7"], "--xi must take at most 1000000 steps, got '0:1:1e-7'"),
     (["constants", "--B", "inf"], "--B must be finite, got inf"),
     (["effective", "--n-a0", "1001", "--h", "nan"], "--h must be finite, got nan"),
+    # grid sizes, checked before any solve: the huge ones would not fit in memory
+    (["dispersion", "--branch", "theta", "--n", "0", "--k", "1"],
+     "--n must lie in 3..1000000, got 0"),
+    (["a0", "--n", "2"], "--n must lie in 3..1000000, got 2"),
+    (["a0", "--n", "1000000000"], "--n must lie in 3..1000000, got 1000000000"),
+    (["momenta", "--alpha", "1", "--xi", "1", "--n", "1000001"],
+     "--n must lie in 3..1000000, got 1000001"),
+    (["disk", "--n", "2"], "--n must lie in 3..1000000, got 2"),
+    (["disk", "--n-a0", "1000000000"], "--n-a0 must lie in 3..1000000, got 1000000000"),
+    (["effective", "--n-a0", "0"], "--n-a0 must lie in 3..1000000, got 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
 def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
-    # a0, the C_k, the disk spectra and the dispersion curves must not be
-    # computed for a run that fails
+    # a0, the moments, the C_k, the disk spectra and the dispersion curves
+    # must not be computed for a run that fails
     monkeypatch.setattr(cli.dispmod, "theta", lambda *a, **kw: pytest.fail("theta was called"))
     monkeypatch.setattr(cli.fibermod, "nu_values",
                         lambda *a, **kw: pytest.fail("nu_values was called"))
     monkeypatch.setattr(cli.dispmod, "find_a0",
                         lambda *a, **kw: pytest.fail("find_a0 was called"))
+    monkeypatch.setattr(cli.dispmod, "momenta",
+                        lambda *a, **kw: pytest.fail("momenta was called"))
     monkeypatch.setattr(cli.ckmod, "ck_constant",
                         lambda *a, **kw: pytest.fail("ck_constant was called"))
     monkeypatch.setattr(cli.diskmod, "dirac_spectrum",

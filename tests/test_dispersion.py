@@ -44,8 +44,8 @@ def test_theta_matches_bisection_oracle():
 @pytest.fixture
 def theta_work(monkeypatch):
     # theta's work by kind: every eigensolve anywhere (scipy's driver under
-    # eig_sym_tridiag), and theta's own tridiagonal solves and pivot counts
-    work = {"eig": 0, "solve": 0, "count": 0}
+    # eig_sym_tridiag), every LAPACK gtsv solve, and theta's own LDL^T passes
+    work = {"eig": 0, "gtsv": 0, "pass": 0}
 
     def counted(kind, fn):
         def call(*a, **kw):
@@ -55,23 +55,22 @@ def theta_work(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                         counted("eig", scipy.linalg.eigh_tridiagonal))
-    monkeypatch.setattr(dispersion, "solve_sym_tridiag",
-                        counted("solve", dispersion.solve_sym_tridiag))
-    monkeypatch.setattr(dispersion, "pivot_count", counted("count", dispersion.pivot_count))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted("gtsv", scipy.linalg.lapack.dgtsv))
+    monkeypatch.setattr(dispersion, "pivot_resolvent",
+                        counted("pass", dispersion.pivot_resolvent))
     return work
 
 
 def test_theta_eigensolve_counts(theta_work):
-    # no eigensolve: LDL^T pole counts place each Newton point against the
-    # poles sqrt(lambda_k), sqrt(lambda_{k+1}) of the secular equation, and
-    # between them one O(n) tridiagonal solve gives H and H'
+    # no eigensolve and no solve: one LDL^T pass per Newton point counts the
+    # poles sqrt(lambda_k), sqrt(lambda_{k+1}) of the secular equation below
+    # it, and between them its pivots give H and H'
     points = (("plus", 1, -1.5), ("plus", 1, -1.0), ("plus", 2, 0.5), ("plus", 3, 2.0),
               ("minus", 1, 1.0), ("minus", 2, -1.0), ("minus", 3, 3.0))
     for sign, k, xi in points:
         assert dispersion.theta(sign, k, xi, n=501).theta > 0.0
-    assert theta_work["eig"] == 0
-    assert theta_work["solve"] <= 96  # 74 measured
-    assert theta_work["count"] <= 125  # 96 measured
+    assert theta_work["eig"] == theta_work["gtsv"] == 0
+    assert theta_work["pass"] <= 125  # 96 measured
 
 
 def test_theta_sweep_counts(theta_work):
@@ -81,9 +80,8 @@ def test_theta_sweep_counts(theta_work):
         for sign in ("plus", "minus"):
             for k in (1, 2, 3):
                 assert dispersion.theta(sign, k, float(xi), n=2001).theta > 0.0
-    assert theta_work["eig"] == 0
-    assert theta_work["solve"] <= 790  # 609 measured
-    assert theta_work["count"] <= 1150  # 887 measured
+    assert theta_work["eig"] == theta_work["gtsv"] == 0
+    assert theta_work["pass"] <= 1150  # 888 measured
 
 
 def test_theta_far_field(theta_work):
@@ -93,9 +91,9 @@ def test_theta_far_field(theta_work):
     for sign in ("plus", "minus"):
         for k in (1, 2, 3):
             for xi in (-8.0, 8.0):
-                before = theta_work["solve"]
+                before = theta_work["pass"]
                 th = dispersion.theta(sign, k, xi, n=2001).theta
-                assert theta_work["solve"] - before <= 24  # 20 measured
+                assert theta_work["pass"] - before <= 44  # 37 measured
                 if (sign, k, xi) == ("plus", 1, -8.0):
                     assert th == 0.0
                     continue
@@ -107,7 +105,7 @@ def test_theta_k_above_grid_raises_before_solving(theta_work):
     # A_xi has n - 1 rows, so k + 1 <= n - 1; a count capped at k + 1 could never reach it
     with pytest.raises(ValueError, match="need 1 <= k <= n - 2, got k=500, n=501"):
         dispersion.theta("minus", 500, 1.0, 501)
-    assert theta_work == {"eig": 0, "solve": 0, "count": 0}
+    assert theta_work == {"eig": 0, "gtsv": 0, "pass": 0}
     assert dispersion.theta("minus", 499, 1.0, 501).theta > 0.0
 
 

@@ -17,7 +17,7 @@ from diracbag.numerics import (
     integrate,
     newton,
     pivot_count,
-    solve_sym_tridiag,
+    pivot_resolvent,
 )
 from scipy.linalg import eigh_tridiagonal
 
@@ -368,28 +368,64 @@ def test_newton_between_two_poles():
     assert all(0.0 < x < 1.0 for x in evals) and len(evals) <= 8
 
 
-def test_solve_sym_tridiag_matches_dense_solve():
-    rng = np.random.default_rng(5)
-    for n in (2, 7, 60):
-        d = rng.normal(size=n)  # indefinite: diagonal entries of both signs
-        e = rng.normal(size=n - 1)
-        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        shift = rng.normal()
-        b = rng.normal(size=n)
-        x = solve_sym_tridiag(TridiagSym(d, e), b, shift)
-        assert x.shape == (n,)
-        assert np.allclose(x, np.linalg.solve(dense - shift * np.eye(n), b), rtol=1e-9, atol=1e-12)
-        rhs = rng.normal(size=(n, 3))
-        x = solve_sym_tridiag(TridiagSym(d, e), rhs)
-        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9, atol=1e-12)
+def _corner_of_inverse(m, x):
+    # G = e_1^T (m - x)^-1 e_1 and G' = |(m - x)^-1 e_1|^2 from the dense inverse
+    dense = np.diag(m.diag - x) + np.diag(m.offdiag, 1) + np.diag(m.offdiag, -1)
+    y = np.linalg.inv(dense)[:, 0]
+    return y[0], y @ y
 
 
-def test_solve_sym_tridiag_singular_raises():
-    # [[1, -1], [-1, 1]] = [[2, -1], [-1, 2]] - 1: exactly singular
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_sym_tridiag(TridiagSym(np.array([2.0, 2.0]), np.array([-1.0])), np.ones(2), 1.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_sym_tridiag(TridiagSym(np.zeros(3), np.zeros(2)), np.ones(3))
+def test_pivot_resolvent_matches_dense_inverse():
+    # random indefinite tridiagonals of orders 2, 3, 7 and 60 at levels clear
+    # of their eigenvalues: the count is pivot_count's and the Sturm count,
+    # and G, G' are the first column of the inverse.  Counts of 2 and more
+    # resume below a non-positive pivot
+    rng = np.random.default_rng(17)
+    counts = []
+    for n in (2, 3, 7, 60):
+        for _ in range(8):
+            m = TridiagSym(rng.normal(size=n), rng.normal(size=n - 1))
+            vals = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+            for x in _clear_shifts(vals, rng, 6, 1e-6):
+                count, g, dg = pivot_resolvent(m, x, n + 1)
+                assert count == pivot_count(m, x, n + 1) == count_below(m, x)
+                g_ref, dg_ref = _corner_of_inverse(m, x)
+                assert g == pytest.approx(g_ref, rel=1e-8, abs=1e-12)
+                assert dg == pytest.approx(dg_ref, rel=1e-8)
+                counts.append(count)
+    assert {0, 1, 2} < set(counts) and max(counts) > 20
+
+
+def test_pivot_resolvent_zero_and_last_pivots():
+    # the bottom-up pivots of m - x I (listed from the last row up): an exact
+    # zero pivot is resumed as -pivmin and the inverse is still matched; a
+    # non-positive pivot alone in row 1 after a restart (|) is counted once;
+    # an exactly zero pivot in row 1 is a pole of G
+    zero_middle = TridiagSym(np.array([1.0, 3.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0]))  # 0, +, 2, -
+    row1_alone = TridiagSym(np.array([-3.0, -1.0, 2.0]), np.array([0.5, 1.0]))  # 2, -1.5 | -17/6
+    for m, x, count in ((zero_middle, 1.0, 2), (row1_alone, 0.0, 2)):
+        got, g, dg = pivot_resolvent(m, x, m.n + 1)
+        assert got == count_below(m, x) == count
+        g_ref, dg_ref = _corner_of_inverse(m, x)
+        assert g == pytest.approx(g_ref, rel=1e-12)
+        assert dg == pytest.approx(dg_ref, rel=1e-12)
+    assert pivot_resolvent(row1_alone, 0.0, 3)[1] == pytest.approx(-6.0 / 17.0, rel=1e-15)
+    pole = TridiagSym(np.array([2.0, 2.0]), np.array([-1.0]))  # x = 1: 1, 0
+    assert pivot_resolvent(pole, 1.0, 3) == (1, -math.inf, math.inf)
+    one = TridiagSym(np.array([3.0]), np.zeros(0))
+    assert pivot_resolvent(one, 1.0, 2) == (0, 0.5, 0.25)
+    assert pivot_resolvent(one, 4.0, 2) == (1, -1.0, 1.0)
+
+
+def test_pivot_resolvent_stops_at_the_cap():
+    # the count reaches cap: the factorization stops there, G and G' are NaN
+    m = TridiagSym(np.arange(1.0, 11.0), np.full(9, 0.1))  # eigenvalues near 1..10
+    for x, cap in ((5.5, 1), (5.5, 3), (5.5, 5), (10.5, 10)):
+        count, g, dg = pivot_resolvent(m, x, cap)
+        assert count == cap == pivot_count(m, x, cap)
+        assert math.isnan(g) and math.isnan(dg)
+    count, g, dg = pivot_resolvent(m, 5.5, 6)
+    assert count == 5 and g == pytest.approx(_corner_of_inverse(m, 5.5)[0], rel=1e-12)
 
 
 def test_integrate_constant_linear():
