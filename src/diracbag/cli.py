@@ -40,6 +40,7 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 _MAX_SWEEP_STEPS = 10**6  # each --xi point costs at least one eigensolve
 _MAX_N = 10**6  # grid nodes of --n and --n-a0: each solve holds a few arrays of this size
+_MAX_COUNT = 256  # effective levels: --kappa's dense Galerkin solves grow like count^3
 
 
 class ConfigError(ValueError):
@@ -229,9 +230,16 @@ def _report_row(h, n, formula, direct, prediction, flag=None) -> list:
 
 
 def _disk_rows(args, spec: diskmod.DiskSpec, b0: float, a0res, cks):
-    """Spectrum rows and report rows of one h of the disk sweep."""
+    """Spectrum rows and report rows of one h of the disk sweep.  A mode
+    window too narrow for the count is widened as ModeRangeError suggests,
+    until the grid cannot resolve the window's end modes (ValueError)."""
     h = spec.h
-    sp = diskmod.dirac_spectrum(spec, max(args.pos, args.neg))
+    while True:
+        try:
+            sp = diskmod.dirac_spectrum(spec, max(args.pos, args.neg))
+            break
+        except diskmod.ModeRangeError as exc:
+            spec = dataclasses.replace(spec, m_range=exc.suggested)
     pos, neg = sp.pos[:args.pos], sp.neg[:args.neg]
     spec_rows = [[h, branch, i + 1, val, m, k]
                  for branch, vals, prov in (("pos", pos, sp.pos_provenance),
@@ -351,6 +359,8 @@ def cmd_effective(args) -> int:
             raise ConfigError(f"{flag} must be positive, got {value}")
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.count > _MAX_COUNT:
+        raise ConfigError(f"--count must be <= {_MAX_COUNT}, got {args.count}")
     if args.area is not None and not args.area >= 0:
         raise ConfigError(f"--area must be >= 0, got {args.area}")
     for flag, value in (("--L", args.L), ("--area", args.area)):

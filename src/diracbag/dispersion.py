@@ -4,37 +4,34 @@ The first negative dispersion curve of the half-plane problem has a unique
 minimum; its location and value define the universal constant a0 (the
 half-plane gap in units of sqrt(B)) together with the derived coupling
 constant c0 that scales the boundary fine structure.  The module also
-carries the moment and commutator-pairing identities used to cross-check
-the curvature coefficients, and the auxiliary constants for variable fields
-and variable boundary coefficients.
+carries the moment and commutator-pairing identities that cross-check the
+curvature coefficients, the gap constant c_gamma of a boundary coefficient
+gamma, the rate Lambda(a) and the interior-well coefficient.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import fiber
-from .numerics import Bracket, Grid1D, bisect, certified_sign, integrate, newton, pivot_resolvent
+from .numerics import (ROOT_TOL, Bracket, Grid1D, bisect, certified_sign, integrate, newton,
+                       pivot_resolvent)
 
 __all__ = [
     "ThetaPoint",
-    "NuCurve",
     "A0Result",
     "CXI_SIGN_CONVENTION",
     "theta",
     "nu_of_alpha",
-    "nu_curve",
     "find_a0",
     "momenta",
     "cxi_pairings",
     "lambda_cap",
     "c_gamma",
-    "variable_field_hessian",
     "interior_c0",
 ]
 
@@ -58,16 +55,6 @@ class ThetaPoint:
     k: int
     xi: float
     theta: float
-
-
-@dataclass
-class NuCurve:
-    """Sampled ground-energy curve alpha -> nu(alpha) with minimizer data."""
-
-    alpha_grid: np.ndarray
-    nu: np.ndarray
-    xi_alpha: np.ndarray
-    u0sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,6 +123,21 @@ def _truncation(alpha: float) -> float:
     return max(fiber.MIN_LENGTH, alpha + 6.0 + fiber.TAIL_PAD)
 
 
+def _first_sign_change(f: Callable[[float], float], lo: float, f_lo: float, step: float,
+                       beyond: Callable[[float], bool], message: str, tol: float) -> float:
+    """Bisect, to ``tol``, the first cell of lo, lo + step, ... where f (> 0
+    at lo, given as f_lo) turns <= 0; RuntimeError(message) once a visited
+    point is ``beyond`` the search."""
+    hi, f_hi = lo + step, f(lo + step)
+    while f_hi > 0.0:
+        if beyond(hi):
+            raise RuntimeError(message)
+        lo, f_lo = hi, f_hi
+        hi += step
+        f_hi = f(hi)
+    return bisect(f, Bracket(lo, hi, f_lo, f_hi), tol)
+
+
 def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, float]:
     """(nu(alpha), xi_alpha, u^2(0)) for the half-plane ground energy.
 
@@ -160,39 +162,15 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
         return certified_sign(t, 2.0 * alpha * xi - alpha * alpha, 1)
 
     xi_max = min((2.0 + alpha * alpha) / (2.0 * alpha), x1 - fiber.TAIL_PAD)
-    lo, g_lo = _XI_SCAN_STEP * math.floor(0.5 * alpha / _XI_SCAN_STEP), 1.0
-    hi, g_hi = lo + _XI_SCAN_STEP, g(lo + _XI_SCAN_STEP)
-    while g_hi > 0.0:
-        if hi > xi_max:
-            raise RuntimeError(
-                f"no critical point of nu_1^-({alpha}, .) below xi = {xi_max:.6g} "
-                f"at n = {n}; the grid does not resolve the minimum, increase n"
-            )
-        lo, g_lo = hi, g_hi
-        hi += _XI_SCAN_STEP
-        g_hi = g(hi)
-    xi_a = bisect(g, Bracket(lo, hi, g_lo, g_hi))
+    xi_a = _first_sign_change(
+        g, _XI_SCAN_STEP * math.floor(0.5 * alpha / _XI_SCAN_STEP), 1.0, _XI_SCAN_STEP,
+        lambda xi: xi > xi_max,
+        f"no critical point of nu_1^-({alpha}, .) below xi = {xi_max:.6g} "
+        f"at n = {n}; the grid does not resolve the minimum, increase n", ROOT_TOL)
     nu, u = fiber.fiber_eigs("minus", alpha, xi_a, grid)
     return nu, xi_a, float(u[0]) ** 2
 
 
-def nu_curve(alpha_grid: np.ndarray, n: int = fiber.DEFAULT_N) -> NuCurve:
-    """Sample nu(alpha) on a grid of alpha values."""
-    nus, xis, u0s = [], [], []
-    for a in np.asarray(alpha_grid, dtype=float):
-        nu, xi_a, u0sq = nu_of_alpha(float(a), n)
-        nus.append(nu)
-        xis.append(xi_a)
-        u0s.append(u0sq)
-    return NuCurve(
-        alpha_grid=np.asarray(alpha_grid, dtype=float),
-        nu=np.array(nus),
-        xi_alpha=np.array(xis),
-        u0sq=np.array(u0s),
-    )
-
-
-@functools.lru_cache(maxsize=8)
 def find_a0(n: int = fiber.DEFAULT_N) -> A0Result:
     """The unique positive solution of nu(alpha) = alpha^2, with derived data.
 
@@ -302,47 +280,12 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
         grid = Grid1D(0.0, _truncation(c * gamma), n)
         return certified_sign(fiber.half_line_matrix("minus", c * slope, grid, c * gamma), c * c, 1)
 
-    step = _XI_SCAN_STEP / slope
     c_max = math.sqrt(2.0) + 0.2  # nu < 2 puts the root below sqrt(2)
-    lo, f_lo = 1e-3, f(1e-3)
-    hi, f_hi = lo + step, f(lo + step)
-    while f_hi > 0.0:
-        if hi > c_max or hi * slope > _truncation(hi * gamma) - fiber.TAIL_PAD:
-            raise RuntimeError(
-                f"failed to bracket c_gamma for gamma={gamma} at n = {n}; "
-                "the grid does not resolve the minimum, increase n"
-            )
-        lo, f_lo = hi, f_hi
-        hi += step
-        f_hi = f(hi)
-    return bisect(f, Bracket(lo, hi, f_lo, f_hi), tol)
-
-
-def variable_field_hessian(
-    b0p: float,
-    b2: float,
-    alpha: float,
-    n: int = fiber.DEFAULT_N,
-) -> Tuple[float, float, float]:
-    """Hessian of the band function mu(s, xi) = b(s) nu(alpha / sqrt(b(s)), ...)
-    at its minimum, for a boundary field with minimum b0p and second
-    derivative b2 there.
-
-    Returns (d2s_mu, d2xi_mu, gap_prefactor) where
-      d2s_mu  = b2 (nu(as) - (as / 2) nu'(as)),  as = alpha / sqrt(b0p),
-      d2xi_mu = 2 as nu'(as), the second xi-derivative of nu_1^-(as, .) there,
-      gap_prefactor = sqrt(d2s_mu * d2xi_mu).
-    nu'(as) is u(0)^2 at the minimizer (Hellmann-Feynman, d_xi nu_1^- = 0).
-    """
-    if b0p <= 0:
-        raise ValueError(f"b0p must be positive, got {b0p}")
-    if b2 < 0:
-        raise ValueError(f"b2 must be >= 0, got {b2}")
-    a_s = alpha / math.sqrt(b0p)
-    nu, _, dnu = nu_of_alpha(a_s, n)
-    d2s_mu = b2 * (nu - 0.5 * a_s * dnu)
-    d2xi_mu = 2.0 * a_s * dnu
-    return d2s_mu, d2xi_mu, math.sqrt(max(d2s_mu, 0.0) * max(d2xi_mu, 0.0))
+    return _first_sign_change(
+        f, 1e-3, f(1e-3), _XI_SCAN_STEP / slope,
+        lambda c: c > c_max or c * slope > _truncation(c * gamma) - fiber.TAIL_PAD,
+        f"failed to bracket c_gamma for gamma={gamma} at n = {n}; "
+        "the grid does not resolve the minimum, increase n", tol)
 
 
 def interior_c0(hessB: np.ndarray, B0: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -281,6 +282,26 @@ def test_disk_error_row_names_exception_type(tmp_path, monkeypatch):
         ["0.25", "0", "error", "nan", "nan", "nan", "ArithmeticError: no root"]]
 
 
+def test_disk_widens_a_narrow_mode_window(tmp_path):
+    # at R = 0.05 the default window (-1, 1) puts an end mode among the four
+    # lowest negative roots; the run widens it to the suggested (-3, 3)
+    field = cli.diskmod.RadialField(1.0, 0.05)
+    spec = cli.diskmod.DiskSpec.make(field, 0.2, n=501)
+    with pytest.raises(cli.diskmod.ModeRangeError) as err:
+        cli.diskmod.dirac_spectrum(spec, 4)
+    assert (spec.m_range, err.value.suggested) == ((-1, 1), (-3, 3))
+    assert run(["disk", "--h", "0.2", "--R", "0.05", "--n", "501", "--n-a0", "1001",
+                "--out", str(tmp_path)]) == cli.EXIT_OK
+    sp = cli.diskmod.dirac_spectrum(dataclasses.replace(spec, m_range=(-3, 3)), 4)
+    expected = [[0.2, branch, i + 1, val, m, k]
+                for branch, vals, prov in (("pos", sp.pos[:2], sp.pos_provenance),
+                                           ("neg", sp.neg, sp.neg_provenance))
+                for i, (val, (m, k)) in enumerate(zip(vals, prov))]
+    assert read_csv(tmp_path / "disk_spectrum.csv")[2] == [
+        [cli._fmt(x) for x in row] for row in expected]
+    assert "error" not in {r[2] for r in read_csv(tmp_path / "disk_report.csv")[2]}
+
+
 GOLDEN = {
     "dispersion_nu-minus.csv": (
         ["dispersion", "--branch", "nu-minus", "--alpha", "2", "--k", "1..2",
@@ -469,6 +490,12 @@ FAIL_FAST = [
     (["disk", "--n", "2"], "--n must lie in 3..1000000, got 2"),
     (["disk", "--n-a0", "1000000000"], "--n-a0 must lie in 3..1000000, got 1000000000"),
     (["effective", "--n-a0", "0"], "--n-a0 must lie in 3..1000000, got 0"),
+    # the effective levels, on both routes: the huge count would not fit in memory
+    (["effective", "--count", "257"], "--count must be <= 256, got 257"),
+    (["effective", "--h", "0.1", "--count", "100000000"],
+     "--count must be <= 256, got 100000000"),
+    (["effective", "--kappa", "kappa.csv", "--count", "100000000"],
+     "--count must be <= 256, got 100000000"),
 ]
 
 
@@ -487,6 +514,9 @@ def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err)
                         lambda *a, **kw: pytest.fail("ck_constant was called"))
     monkeypatch.setattr(cli.diskmod, "dirac_spectrum",
                         lambda *a, **kw: pytest.fail("dirac_spectrum was called"))
+    for name in ("qeff_disk", "qeff_general"):
+        monkeypatch.setattr(cli.effmod, name,
+                            lambda *a, f=name, **kw: pytest.fail(f"{f} was called"))
     assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {err}\n"
 

@@ -212,13 +212,13 @@ def test_nu_of_alpha_unresolved_minimum_raises():
 
 def test_nu_curve_invariants():
     grid = np.arange(0.05, 2.0 + 1e-9, 0.15)
-    curve = dispersion.nu_curve(grid, n=1001)
-    assert np.all(np.diff(curve.nu) > 0)
-    second = np.diff(curve.nu, 2)
+    nu = np.array([dispersion.nu_of_alpha(float(a), 1001)[0] for a in grid])
+    assert np.all(np.diff(nu) > 0)
+    second = np.diff(nu, 2)
     assert np.all(second <= 1e-6)  # concavity
-    assert np.all((curve.nu > 0) & (curve.nu < 2))
+    assert np.all((nu > 0) & (nu < 2))
     small = grid <= 0.2
-    assert np.all(curve.nu[small] / grid[small] > 0.5)
+    assert np.all(nu[small] / grid[small] > 0.5)
 
 
 def test_find_a0(a0res):
@@ -365,7 +365,7 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     for name in ("count_below", "pivot_count"):
         real_count = getattr(numerics, name)
         monkeypatch.setattr(numerics, name, lambda *a, f=real_count: counts.append(1) or f(*a))
-    dispersion.find_a0.__wrapped__(501)
+    dispersion.find_a0(501)
     a0_calls, a0_counts = len(calls), len(counts)
     dispersion.c_gamma(0.8, 501)
     assert a0_calls <= 2  # 1 measured
@@ -375,27 +375,22 @@ def test_halfplane_eigensolve_counts(monkeypatch):
     # at the benchmark's n = 4001 the counts decide find_a0's one in-band sign,
     # which took an eigensolve while the whole band was eigensolved
     calls.clear()
-    dispersion.find_a0.__wrapped__(4001)
+    dispersion.find_a0(4001)
     assert len(calls) == 1  # the u^2(0) solve
 
 
-def test_variable_field_hessian_eigensolve_counts(monkeypatch):
-    # the Hessian takes nu, nu' and d2xi_mu from nu_of_alpha's solves alone
+def test_nu_of_alpha_eigensolve_counts(monkeypatch):
     calls = []
     _count_eigensolves(monkeypatch, calls)
     for alpha in (1.3, 2.0):
         calls.clear()
         dispersion.nu_of_alpha(alpha, 501)
-        own = len(calls)
         # the minimizer's eigenpair; Sturm counts decide every sign in the band
-        assert own <= 2  # 1 measured (2 while the whole band was eigensolved)
-        calls.clear()
-        dispersion.variable_field_hessian(1.0, 1.0, alpha, 501)
-        assert len(calls) == own
+        assert len(calls) <= 2  # 1 measured (2 while the whole band was eigensolved)
 
 
 def _halfplane_hex():
-    a0 = dispersion.find_a0.__wrapped__(501)
+    a0 = dispersion.find_a0(501)
     out = [[v.hex() for v in (a0.a0, a0.u0sq, a0.d2xi_nu, a0.c0)]]
     out += [dispersion.c_gamma(gamma, 1001).hex() for gamma in (0.1, 0.8, 6.0)]
     # bisected to the rounding limit, many steps fall inside the band
@@ -533,20 +528,16 @@ def test_c_gamma_small_gamma_is_first_root():
         dispersion.c_gamma(0.05, n)
 
 
-def test_variable_field_hessian(a0res):
-    d2s, d2x, pref = dispersion.variable_field_hessian(1.0, 1.0, a0res.a0)
-    assert d2s > 0 and d2x > 0
-    assert d2s == pytest.approx(1.458391, rel=1e-3)  # frozen
+def test_nu_of_alpha_u0sq_gives_d2xi_nu_at_a0(a0res):
+    # nu(alpha)'s minimizer at alpha = a0 is xi = a0, so its u(0)^2 is
+    # find_a0's, and 2 a0 u(0)^2 is the second xi-derivative there
+    d2x = 2.0 * a0res.a0 * dispersion.nu_of_alpha(a0res.a0)[2]
     assert d2x == pytest.approx(a0res.d2xi_nu, rel=1e-6)
-    assert pref == pytest.approx(math.sqrt(d2s * d2x), rel=1e-12)
-    d2s0, _, _ = dispersion.variable_field_hessian(1.0, 0.0, a0res.a0)
-    assert d2s0 == 0.0
 
 
 def test_nu_prime_is_u0_squared(a0res):
-    # variable_field_hessian takes nu'(alpha) = u(0)^2 at the minimizer
-    # (Hellmann-Feynman); the centred difference it replaced agrees within a
-    # few delta^2 = 1e-6
+    # nu'(alpha) = u(0)^2 at the minimizer (Hellmann-Feynman); a centred
+    # difference of nu agrees within a few delta^2 = 1e-6
     n, delta = fiber.DEFAULT_N, 1e-3
     for alpha in (a0res.a0, 2.0):
         u0sq = dispersion.nu_of_alpha(alpha, n)[2]
