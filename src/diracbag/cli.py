@@ -230,16 +230,9 @@ def _report_row(h, n, formula, direct, prediction, flag=None) -> list:
 
 
 def _disk_rows(args, spec: diskmod.DiskSpec, b0: float, a0res, cks):
-    """Spectrum rows and report rows of one h of the disk sweep.  A mode
-    window too narrow for the count is widened as ModeRangeError suggests,
-    until the grid cannot resolve the window's end modes (ValueError)."""
+    """Spectrum rows and report rows of one h of the disk sweep."""
     h = spec.h
-    while True:
-        try:
-            sp = diskmod.dirac_spectrum(spec, max(args.pos, args.neg))
-            break
-        except diskmod.ModeRangeError as exc:
-            spec = dataclasses.replace(spec, m_range=exc.suggested)
+    sp = diskmod.dirac_spectrum(spec, max(args.pos, args.neg))
     pos, neg = sp.pos[:args.pos], sp.neg[:args.neg]
     spec_rows = [[h, branch, i + 1, val, m, k]
                  for branch, vals, prov in (("pos", pos, sp.pos_provenance),
@@ -586,7 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:  # ModeRangeError and CutoffError too
+    except RuntimeError as exc:  # CutoffError too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import (Grid1D, TridiagSym, _certified_sign, _norm1, eig_sym_tridiag, integrate,
+from .numerics import (Grid1D, TridiagSym, _norm1, certified_sign, eig_sym_tridiag, integrate,
                        pivot_count)
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "RadialGauge",
     "DiskSpec",
     "DiracSpectrum",
-    "ModeRangeError",
     "radial_phi",
     "check_grid",
     "mode_ell",
@@ -57,18 +56,6 @@ __all__ = [
 _GAUGE_N = 16385  # nodes of the internal [0, R] gauge grid
 _ROOT_REL_TOL = 1e-9  # relative width at which every disk root bisection stops
 POSITIVE_H_MIN = 0.05  # below it ell_k's rounding error swamps the plus roots' lambda^2
-
-
-class ModeRangeError(RuntimeError):
-    """Angular-mode window too narrow for the requested eigenvalue count."""
-
-    def __init__(self, m_range: Tuple[int, int], suggested: Tuple[int, int]):
-        self.m_range = m_range
-        self.suggested = suggested
-        super().__init__(
-            f"mode range {m_range} contributes edge modes to the requested "
-            f"spectrum; rerun with m_range >= {suggested}"
-        )
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,7 @@ class DiskSpec:
 
     field: RadialField
     h: float
-    m_range: Tuple[int, int]
+    m_range: Tuple[int, int]  # where the solvers' mode window starts (``_lowest``)
     rgrid: Grid1D
 
     def __post_init__(self):
@@ -254,7 +241,7 @@ class _ModeOperator:
     def ell_sign(self, lam: float, k: int) -> float:
         """Sign of ell_k(lambda), or its eigensolved value (``certified_sign``)."""
         t = self.matrix(lam)  # max is exact: the norm is _norm1(t), bit for bit
-        return _certified_sign(t, lam * lam, k, max(self.rest, abs(t.diag[-1]) + abs(self.off[-1])))
+        return certified_sign(t, lam * lam, k, max(self.rest, abs(t.diag[-1]) + abs(self.off[-1])))
 
 
 def check_grid(spec: DiskSpec) -> None:
@@ -396,10 +383,36 @@ def _screen(count_at: Callable[[int, float], int], modes: int, count: int,
     return at(top, next((got for y, got in reversed(accepted) if y >= top), every))
 
 
+def _lowest(spec: DiskSpec, count: int, build: Callable, below: Callable, values: Callable,
+            lo: float, hi: float) -> List[Tuple[float, int, int]]:
+    """The ``count`` smallest (value, m, k), sorted, over the angular modes
+    from the window ``spec.m_range`` on.  ``build(m)`` makes mode m's operator
+    (ValueError if the grid cannot resolve it), ``below(op, y)`` counts its
+    values below y, capped at ``count``, and ``values(op, j)`` gives at least
+    its j smallest, ascending; ``_screen`` from [lo, hi] says how many each
+    mode holds.  While an end mode holds a selected value the window widens,
+    span -> 1.5 span + 2, reusing operators and values (window-independent)."""
+    ops, found = {}, {}  # per mode m: its operator, its values found so far
+    m_lo, m_hi = spec.m_range
+    while True:
+        ms = range(m_lo, m_hi + 1)
+        ops.update((m, build(m)) for m in ms if m not in ops)
+        entries = []
+        for m, j in zip(ms, _screen(lambda i, y: below(ops[ms[i]], y), len(ms), count, lo, hi, 8)):
+            if j > len(found.get(m, ())):
+                found[m] = values(ops[m], j)
+            entries += [(v, m, k) for k, v in enumerate(found.get(m, ())[:j], 1)]
+        selected = sorted(entries)[:count]
+        if all(m not in (m_lo, m_hi) for _, m, _ in selected):
+            return selected
+        span = max(abs(m_lo), abs(m_hi))
+        m_lo, m_hi = -int(1.5 * span) - 2, int(1.5 * span) + 2
+
+
 def _merge_modes(
     spec: DiskSpec, field_sign: str, count: int
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """The ``count`` smallest roots E_k^{(m)} over the mode window.
+    """The ``count`` smallest roots E_k^{(m)} over the modes (``_lowest``).
 
     ell_k(lambda) < 0 exactly when Q_lambda has at least k eigenvalues below
     lambda^2, so one count from the LDL^T pivots of Q_lambda - lambda^2
@@ -411,29 +424,14 @@ def _merge_modes(
     root, h = 0.05, n = 2001) and under 1e-7 for m >= 2: the screen's 1e-3
     margin costs a few bisections at most and can never drop a selected root.
     """
-    m_lo, m_hi = spec.m_range
     # the branch's generic root scale (k > 1 needs no Hardy quotient); it
     # also enforces the h floor of the exponentially small branch
-    lo, hi = _bracket_for(spec, m_lo, field_sign, 2)
-    ops = [_ModeOperator(spec, m, field_sign) for m in range(m_lo, m_hi + 1)]
-
-    def count_at(i: int, lam: float) -> int:
-        return pivot_count(ops[i].matrix(lam), lam * lam, count)
-
-    entries: List[Tuple[float, int, int]] = []
-    for op, below in zip(ops, _screen(count_at, len(ops), count, lo, hi, 8)):
-        for k in range(1, below + 1):
-            lo, hi = _bracket_for(spec, op.m, field_sign, k)
-            entries.append((_bisect_ell(op, k, lo, hi), op.m, k))
-    entries.sort()
-    selected = entries[:count]
-
-    if any(m in (m_lo, m_hi) for _, m, _ in selected):
-        span = max(abs(m_lo), abs(m_hi))
-        raise ModeRangeError(spec.m_range, (-int(1.5 * span) - 2, int(1.5 * span) + 2))
-    values = np.array([v for v, _, _ in selected])
-    prov = [(m, k) for _, m, k in selected]
-    return values, prov
+    lo, hi = _bracket_for(spec, spec.m_range[0], field_sign, 2)
+    selected = _lowest(spec, count, lambda m: _ModeOperator(spec, m, field_sign),
+                       lambda op, lam: pivot_count(op.matrix(lam), lam * lam, count),
+                       lambda op, j: [_bisect_ell(op, k, *_bracket_for(spec, op.m, field_sign, k))
+                                      for k in range(1, j + 1)], lo, hi)
+    return np.array([v for v, _, _ in selected]), [(m, k) for _, m, k in selected]
 
 
 def dirac_spectrum(spec: DiskSpec, count: int) -> DiracSpectrum:
@@ -442,7 +440,8 @@ def dirac_spectrum(spec: DiskSpec, count: int) -> DiracSpectrum:
     Negative eigenvalues are the positive zeros of the charge-conjugate
     (field-flipped) problem and are stored with positive sign; the reversed
     field ``RadialField(-B, R)`` swaps ``pos`` and ``neg``.  The exponentially
-    small side needs h >= ``POSITIVE_H_MIN`` for either sign.
+    small side needs h >= ``POSITIVE_H_MIN`` for either sign.  The mode window
+    starts at ``spec.m_range`` and widens as needed (``_lowest``).
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -476,30 +475,29 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     ``_ModeOperator`` without its wall row and column (f(R) = 0): a sum of
     squares, so >= 0.  The plus branch adds 2 h B at the operator's nodes.
     For B > 0 it is bounded below by 2 b0 h and the minus branch is
-    exponentially small in 1/h; a reversed field swaps the two.
+    exponentially small in 1/h; a reversed field swaps the two.  The mode
+    window starts at ``spec.m_range`` and widens as needed (``_lowest``).
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     bvals = spec.field.samples(spec._cells[0])
-    mats = []
-    for m in range(spec.m_range[0], spec.m_range[1] + 1):
+
+    def build(m: int) -> TridiagSym:
         op = _ModeOperator(spec, m, "plus")
         diag = op.diag[:-1]
         if branch == "plus":
             diag = diag + 2.0 * spec.h * bvals[op.first:-1]
-        mats.append(TridiagSym(diag, op.off[:-1]))
+        return TridiagSym(diag, op.off[:-1])
 
     # only modes with a value below a threshold holding ``count`` values can
     # contribute; the screen doubles and bisects that threshold, so the fewest
     # modes are eigensolved, each for at most ``count`` values
-    def below(i: int, x: float) -> int:
-        return pivot_count(mats[i], x, count)
-
-    held = _screen(below, len(mats), count, 0.0, spec.h * float(np.max(np.abs(bvals))), 8)
-    vals = [eig_sym_tridiag(t, min(count, t.n))[0] for t, k in zip(mats, held) if k]
-    return np.sort(np.concatenate(vals))[:count]
+    selected = _lowest(spec, count, build, lambda t, x: pivot_count(t, x, count),
+                       lambda t, j: eig_sym_tridiag(t, min(count, t.n))[0],
+                       0.0, spec.h * float(np.max(np.abs(bvals))))
+    return np.array([v for v, _, _ in selected])
 
 
 def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) -> np.ndarray:

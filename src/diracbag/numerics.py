@@ -39,6 +39,10 @@ _SIGN_GUARD = 64.0 * np.finfo(float).eps
 """Signs are first counted from LDL^T pivots at x -/+ this band per unit of
 ||T||_1: pttrf's pivots err from the Sturm count's by a few eps * ||T||_1."""
 
+# newton's evaluations before it gives up: theta takes at most 35 (both signs, k = 1..4,
+# xi in [-8, 8], n up to 4001); halving its widest bracket (~400) to 1e-10 would take ~43
+_NEWTON_MAX_EVALS = 100
+
 
 class EigenConvergenceError(RuntimeError):
     """Raised when the tridiagonal eigensolver fails to converge."""
@@ -211,7 +215,7 @@ def _norm1(m: TridiagSym) -> float:
     return float(np.max(np.abs(m.diag) + (np.append(off, 0.0) + np.append(0.0, off))))
 
 
-def certified_sign(m: TridiagSym, x: float, k: int) -> float:
+def certified_sign(m: TridiagSym, x: float, k: int, norm: Optional[float] = None) -> float:
     """-1.0 or +1.0, the sign of lambda_k(m) - x, where counts decide it, else
     that difference, eigensolved: searches on signs and on values agree.  Every
     k counts first by ``pivot_count`` at x -/+ ``_SIGN_GUARD`` * ||m||_1, then
@@ -219,12 +223,10 @@ def certified_sign(m: TridiagSym, x: float, k: int) -> float:
     returns the midpoint of an [a, b] with its own count < k at a and >= k at
     b, narrower than max(eps ||m||_1, pivmin, 2 eps max(|a|, |b|)) up to
     rounding; that count is ``count_below``'s, monotone in x (Demmel, Dhillon,
-    Ren 1995), so if it decides at x -/+ tau, the midpoint lies on its side."""
-    return _certified_sign(m, x, k, _norm1(m))
-
-
-def _certified_sign(m: TridiagSym, x: float, k: int, norm: float) -> float:
-    """``certified_sign`` with norm = ``_norm1(m)`` given."""
+    Ren 1995), so if it decides at x -/+ tau, the midpoint lies on its side.
+    ``norm``, when given, must be ``_norm1(m)``; otherwise it is computed."""
+    if norm is None:
+        norm = _norm1(m)
     tau = np.finfo(float).eps * (norm + 2.0 * abs(x))
     tiers = ((lambda t, y: pivot_count(t, y, k), _SIGN_GUARD * norm), (count_below, tau))
     for below, band in tiers:
@@ -263,11 +265,13 @@ def newton(
     and ``b.f_hi`` as signed infinities); every evaluation shrinks the bracket
     to the side that keeps the sign change, and a step that would leave it
     (or a zero derivative) is replaced by the midpoint.  Stops when the step
-    or the bracket is at most ``tol``, or the step is lost to rounding.
+    or the bracket is at most ``tol``, or the step is lost to rounding, and
+    raises RuntimeError after ``_NEWTON_MAX_EVALS`` evaluations (a wrong
+    derivative can keep every step inside while the bracket barely shrinks).
     """
     lo, hi = b.lo, b.hi
     x = 0.5 * (lo + hi)
-    while True:
+    for _ in range(_NEWTON_MAX_EVALS):
         f, df = fd(x)
         if f == 0.0:
             return x
@@ -283,6 +287,8 @@ def newton(
         if abs(nxt - x) <= tol or hi - lo <= tol:
             return nxt
         x = nxt
+    raise RuntimeError(f"newton: no convergence in {_NEWTON_MAX_EVALS} evaluations on the "
+                       f"bracket [{b.lo!r}, {b.hi!r}]")
 
 
 def integrate(

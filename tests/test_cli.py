@@ -284,15 +284,14 @@ def test_disk_error_row_names_exception_type(tmp_path, monkeypatch):
 
 def test_disk_widens_a_narrow_mode_window(tmp_path):
     # at R = 0.05 the default window (-1, 1) puts an end mode among the four
-    # lowest negative roots; the run widens it to the suggested (-3, 3)
+    # lowest negative roots; the solver widens it, and the run writes the
+    # roots of the window (-3, 3)
     field = cli.diskmod.RadialField(1.0, 0.05)
     spec = cli.diskmod.DiskSpec.make(field, 0.2, n=501)
-    with pytest.raises(cli.diskmod.ModeRangeError) as err:
-        cli.diskmod.dirac_spectrum(spec, 4)
-    assert (spec.m_range, err.value.suggested) == ((-1, 1), (-3, 3))
     assert run(["disk", "--h", "0.2", "--R", "0.05", "--n", "501", "--n-a0", "1001",
                 "--out", str(tmp_path)]) == cli.EXIT_OK
     sp = cli.diskmod.dirac_spectrum(dataclasses.replace(spec, m_range=(-3, 3)), 4)
+    assert spec.m_range == (-1, 1) and any(abs(m) >= 1 for m, _ in sp.neg_provenance)
     expected = [[0.2, branch, i + 1, val, m, k]
                 for branch, vals, prov in (("pos", sp.pos[:2], sp.pos_provenance),
                                            ("neg", sp.neg, sp.neg_provenance))
@@ -300,6 +299,33 @@ def test_disk_widens_a_narrow_mode_window(tmp_path):
     assert read_csv(tmp_path / "disk_spectrum.csv")[2] == [
         [cli._fmt(x) for x in row] for row in expected]
     assert "error" not in {r[2] for r in read_csv(tmp_path / "disk_report.csv")[2]}
+
+
+def test_disk_builds_each_mode_operator_once_while_widening(tmp_path, monkeypatch):
+    # 400 negative roots outgrow the default window (-15, 15) several times;
+    # each widening reuses the operators it has, so dirac_spectrum builds
+    # every (m, branch) once rather than once per window
+    built, depth = [], []
+    real_init, real_spectrum = cli.diskmod._ModeOperator.__init__, cli.diskmod.dirac_spectrum
+
+    def init(op, spec, m, field_sign):
+        if depth:
+            built.append((m, field_sign))
+        real_init(op, spec, m, field_sign)
+
+    def spectrum(spec, count):
+        depth.append(1)
+        try:
+            return real_spectrum(spec, count)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(cli.diskmod._ModeOperator, "__init__", init)
+    monkeypatch.setattr(cli.diskmod, "dirac_spectrum", spectrum)
+    assert run(["disk", "--h", "0.2", "--neg", "400", "--n", "501", "--n-a0", "1001",
+                "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(built) == len(set(built))
+    assert {m for m, sign in built if sign == "minus"} > set(range(-15, 16))
 
 
 GOLDEN = {

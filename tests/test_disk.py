@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -116,12 +117,23 @@ def test_grid_refinement_stability(unit_field):
         assert abs(v1 - v2) < 4e-5
 
 
-def test_mode_range_error(unit_field):
-    spec = disk.DiskSpec(field=unit_field, h=0.2, m_range=(-1, 1),
-                         rgrid=disk._shifted_grid(1.0, 1001))
-    with pytest.raises(disk.ModeRangeError) as err:
-        disk.dirac_spectrum(spec, 4)
-    assert err.value.suggested[1] > 1
+def test_dirac_spectrum_widens_a_narrow_mode_window(unit_field):
+    # an end mode of (-1, 1) holds one of the four lowest roots, so the window
+    # widens until none does; each (m, k) root does not depend on the window
+    spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
+    narrow = disk.dirac_spectrum(dataclasses.replace(spec, m_range=(-1, 1)), 4)
+    assert _spectrum_hex(narrow) == _spectrum_hex(disk.dirac_spectrum(spec, 4))
+    assert any(abs(m) >= 1 for m, _ in narrow.pos_provenance + narrow.neg_provenance)
+
+
+@pytest.mark.parametrize("branch", ("plus", "minus"))
+def test_zigzag_widens_a_narrow_mode_window(unit_field, branch):
+    # on (-1, 1) the third value used to come from an end mode: 1.0691 for the
+    # plus branch where the default window (-15, 15) gives 0.9562
+    spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
+    wide = disk.zigzag_spectrum(spec, branch, 3).tolist()
+    for m_range in ((-1, 1), (-3, 3)):
+        assert disk.zigzag_spectrum(dataclasses.replace(spec, m_range=m_range), branch, 3).tolist() == wide
 
 
 def _brute_force_roots(spec, field_sign, count):
@@ -272,8 +284,8 @@ def test_mode_operator_norm_is_the_matrix_norm(unit_field, monkeypatch):
     # ell_sign sizes its bands by the wall row and the cached max over the
     # other rows; max is exact, so the norm is bit for bit that of the matrix
     exact = []
-    real = disk._certified_sign
-    monkeypatch.setattr(disk, "_certified_sign", lambda t, x, k, norm: exact.append(
+    real = disk.certified_sign
+    monkeypatch.setattr(disk, "certified_sign", lambda t, x, k, norm: exact.append(
         norm == numerics._norm1(t)) or real(t, x, k, norm))
     spec = disk.DiskSpec.make(unit_field, 0.1, n=2001)
     for m, branch in ((-20, "plus"), (-3, "minus"), (0, "plus"), (0, "minus"), (20, "plus")):

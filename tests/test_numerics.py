@@ -375,6 +375,21 @@ def _corner_of_inverse(m, x):
     return y[0], y @ y
 
 
+def test_newton_gives_up_on_a_wrong_derivative():
+    # a derivative 1000 times too large keeps every step inside the bracket,
+    # each shrinking it a little: uncapped, this took 19106 evaluations and
+    # ended 1e-9 from the root, 1000 times the tolerance
+    evals = []
+
+    def fd(x):
+        evals.append(x)
+        return x - 0.3, 1e3
+
+    with pytest.raises(RuntimeError, match=r"100 evaluations on the bracket \[0, 1\]"):
+        newton(fd, Bracket(0, 1, -1, 1), 1e-12)
+    assert len(evals) == 100
+
+
 def test_pivot_resolvent_matches_dense_inverse():
     # random indefinite tridiagonals of orders 2, 3, 7 and 60 at levels clear
     # of their eigenvalues: the count is pivot_count's and the Sturm count,
