@@ -56,13 +56,16 @@ def _fmt(x) -> str:
 def _parse_int_range(text: str) -> List[int]:
     """'1..4' or '1:4' or '1,2,3'; --k, its only user, must select a value."""
     text = text.strip()
-    for sep in ("..", ":"):
-        parts = text.split(sep)
-        if "," not in text and len(parts) == 2:
-            ks = list(range(int(parts[0]), int(parts[1]) + 1))
-            break
-    else:
-        ks = [int(t) for t in text.split(",") if t.strip()]
+    try:
+        for sep in ("..", ":"):
+            parts = text.split(sep)
+            if "," not in text and len(parts) == 2:
+                ks = list(range(int(parts[0]), int(parts[1]) + 1))
+                break
+        else:
+            ks = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"--k must be integers as 1..4, 1:4 or 1,2,3, got {text!r}") from None
     if not ks:
         raise ConfigError(f"--k selects no values, got {text!r}")
     if min(ks) < 1:
@@ -75,6 +78,22 @@ def _finite(x, flag: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{flag} must be finite, got {value}")
     return value
+
+
+def _check_ck_range(ks, b0: float, R: float) -> None:
+    """C_k of an isotropic weight b0 on a circle of radius R takes powers up to
+    b0^{+-k} and R^{2k-1}, and (b0/2)^2 scales the weight's nodes; fail unless
+    those and C_k stay inside 2^{+-960}, where every row is finite (outside it
+    they overflow, divide by a zero distance or turn into nan)."""
+    lb, lr = math.log2(b0), math.log2(R)
+    for k in ks:
+        log2_ck = 1 + k * (lb - 1) + (2 * k - 1) * lr - math.lgamma(k) / math.log(2)
+        for flags, size in ((f"--B {b0}", max(k, 2) * (abs(lb) + 1)),
+                            (f"--R {R}", max(2 * k - 1, 2) * (abs(lr) + 1)),
+                            (f"--B {b0} with --R {R}", abs(log2_ck))):
+            if size > 960:
+                raise ConfigError(f"{flags} is out of range for C_{k}: its closed form "
+                                  f"reaches 2^{size:.0f}, past 2^960")
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -285,6 +304,7 @@ def cmd_disk(args) -> int:
     b0 = float(field.B)  # _parse_field only builds constant fields
     if not b0 > 0:
         raise ConfigError(f"--B must be positive, got {_fmt(b0)}")
+    _check_ck_range(range(1, args.pos + 1), b0, args.R)
     specs = [diskmod.DiskSpec.make(field, h, n=args.n) for h in hs]
     for spec in specs:
         try:
@@ -330,6 +350,7 @@ def cmd_constants(args) -> int:
         raise ConfigError(f"--B must be positive, got {args.B}")
     w = ckmod.BargmannWeight.isotropic(b0)
     curve = ckmod.BoundaryCurve.circle(args.R, z_min=complex(args.zmin_re, args.zmin_im))
+    _check_ck_range(ks, b0, args.R)
     rows = []
     for k in ks:
         res = ckmod.ck_constant(k, w, curve)
@@ -364,6 +385,9 @@ def cmd_effective(args) -> int:
             samples = np.loadtxt(args.kappa, delimiter=",", ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read --kappa file: {exc}") from None
+    elif not args.R * args.R / (2 * args.h) <= 2**52:  # the lowest levels' |m| ~ R t_h
+        raise ConfigError(f"--R {args.R} with --h {args.h} puts the disk's mode numbers "
+                          f"near R^2/(2h) past 2^52, where doubles no longer hold every integer")
     out = _outdir(args)
     a0res = dispmod.find_a0(args.n_a0)
     if args.kappa:

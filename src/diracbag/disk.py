@@ -390,21 +390,18 @@ def _lowest(spec: DiskSpec, count: int, build: Callable, below: Callable, values
     (ValueError if the grid cannot resolve it), ``below(op, y)`` counts its
     values below y, capped at ``count``, and ``values(op, j)`` gives at least
     its j smallest, ascending; ``_screen`` from [lo, hi] says how many each
-    mode holds.  While an end mode holds a selected value the window widens,
-    span -> 1.5 span + 2, reusing operators and values (window-independent)."""
-    ops, found = {}, {}  # per mode m: its operator, its values found so far
+    mode holds.  While an end mode holds a screened value the window widens,
+    span -> 1.5 span + 2, reusing the operators built; only then is each
+    held mode's ``values`` called, once."""
+    ops = {}
     m_lo, m_hi = spec.m_range
     while True:
         ms = range(m_lo, m_hi + 1)
         ops.update((m, build(m)) for m in ms if m not in ops)
-        entries = []
-        for m, j in zip(ms, _screen(lambda i, y: below(ops[ms[i]], y), len(ms), count, lo, hi, 8)):
-            if j > len(found.get(m, ())):
-                found[m] = values(ops[m], j)
-            entries += [(v, m, k) for k, v in enumerate(found.get(m, ())[:j], 1)]
-        selected = sorted(entries)[:count]
-        if all(m not in (m_lo, m_hi) for _, m, _ in selected):
-            return selected
+        held = _screen(lambda i, y: below(ops[ms[i]], y), len(ms), count, lo, hi, 8)
+        if not (held[0] or held[-1]):
+            return sorted((v, m, k) for m, j in zip(ms, held) if j
+                          for k, v in enumerate(values(ops[m], j)[:j], 1))[:count]
         span = max(abs(m_lo), abs(m_hi))
         m_lo, m_hi = -int(1.5 * span) - 2, int(1.5 * span) + 2
 

@@ -304,14 +304,21 @@ def test_disk_widens_a_narrow_mode_window(tmp_path):
 def test_disk_builds_each_mode_operator_once_while_widening(tmp_path, monkeypatch):
     # 400 negative roots outgrow the default window (-15, 15) several times;
     # each widening reuses the operators it has, so dirac_spectrum builds
-    # every (m, branch) once rather than once per window
-    built, depth = [], []
+    # every (m, branch) once rather than once per window, and it bisects each
+    # (m, branch, k) once, in the final window
+    built, bisected, depth = [], [], []
     real_init, real_spectrum = cli.diskmod._ModeOperator.__init__, cli.diskmod.dirac_spectrum
+    real_bisect = cli.diskmod._bisect_ell
 
     def init(op, spec, m, field_sign):
         if depth:
             built.append((m, field_sign))
         real_init(op, spec, m, field_sign)
+
+    def bisect(op, k, lo, hi):
+        if depth:
+            bisected.append((op.m, op.field_sign, k))
+        return real_bisect(op, k, lo, hi)
 
     def spectrum(spec, count):
         depth.append(1)
@@ -322,9 +329,11 @@ def test_disk_builds_each_mode_operator_once_while_widening(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli.diskmod._ModeOperator, "__init__", init)
     monkeypatch.setattr(cli.diskmod, "dirac_spectrum", spectrum)
+    monkeypatch.setattr(cli.diskmod, "_bisect_ell", bisect)
     assert run(["disk", "--h", "0.2", "--neg", "400", "--n", "501", "--n-a0", "1001",
                 "--out", str(tmp_path)]) == cli.EXIT_OK
     assert len(built) == len(set(built))
+    assert len(bisected) == len(set(bisected))
     assert {m for m, sign in built if sign == "minus"} > set(range(-15, 16))
 
 
@@ -522,6 +531,23 @@ FAIL_FAST = [
      "--count must be <= 256, got 100000000"),
     (["effective", "--kappa", "kappa.csv", "--count", "100000000"],
      "--count must be <= 256, got 100000000"),
+    # --k that is not an integer range
+    (["dispersion", "--k", "1.."], "--k must be integers as 1..4, 1:4 or 1,2,3, got '1..'"),
+    (["constants", "--k", "a"], "--k must be integers as 1..4, 1:4 or 1,2,3, got 'a'"),
+    # values whose C_k rows would overflow, divide by a zero distance or be nan
+    (["constants", "--R", "1e200", "--k", "2"],
+     "--R 1e+200 is out of range for C_2: its closed form reaches 2^1996, past 2^960"),
+    (["constants", "--B", "1e200", "--k", "3"],
+     "--B 1e+200 is out of range for C_3: its closed form reaches 2^1996, past 2^960"),
+    (["constants", "--B", "1e-300", "--k", "3"],
+     "--B 1e-300 is out of range for C_3: its closed form reaches 2^2993, past 2^960"),
+    (["constants", "--B", "1e90", "--R", "1e90", "--k", "2"],
+     "--B 1e+90 with --R 1e+90 is out of range for C_2: its closed form reaches 2^1494, "
+     "past 2^960"),
+    (["disk", "--R", "1e200"],
+     "--R 1e+200 is out of range for C_1: its closed form reaches 2^1331, past 2^960"),
+    (["effective", "--R", "1e200", "--h", "0.1"], "--R 1e+200 with --h 0.1 puts the disk's "
+     "mode numbers near R^2/(2h) past 2^52, where doubles no longer hold every integer"),
 ]
 
 
@@ -545,6 +571,36 @@ def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err)
                             lambda *a, f=name, **kw: pytest.fail(f"{f} was called"))
     assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {err}\n"
+
+
+@pytest.mark.parametrize("k", (1, 3, MAX_K))
+def test_ck_range_edges_write_finite_rows(tmp_path, k):
+    # at each end of the --B and --R ranges the C_k check admits, the row is
+    # finite and dist_B and C_k keep their closed forms; one step past, exit 2
+    argv = ["constants", "--k", str(k), "--out", str(tmp_path)]
+    for flag in ("--B", "--R"):
+        def b0_R(e):
+            return (1.37 * 2.0**e, 1.0) if flag == "--B" else (1.0, 1.37 * 2.0**e)
+
+        def admitted(e):
+            try:
+                cli._check_ck_range([k], *b0_R(e))
+            except cli.ConfigError:
+                return False
+            return True
+
+        inside = [e for e in range(-1070, 1020) if admitted(e)]
+        assert inside == list(range(inside[0], inside[-1] + 1))
+        for e, step in ((inside[0], -1), (inside[-1], 1)):
+            assert run(argv + [flag, repr(1.37 * 2.0**e)]) == cli.EXIT_OK
+            row = [float(x) for x in read_csv(tmp_path / "constants.csv")[2][0]]
+            _, dist_h, dist_b, ck, closed, _ = row
+            log2_dist_b2 = (math.log2(math.pi) + math.lgamma(k) / math.log(2)
+                            + k * (1 - math.log2(b0_R(e)[0])))
+            assert 2 * math.log2(dist_b) == pytest.approx(log2_dist_b2, rel=1e-12)
+            assert ck == pytest.approx(closed, rel=1e-9)
+            assert all(map(math.isfinite, row)) and dist_h > 0
+            assert run(argv + [flag, repr(1.37 * 2.0**(e + step))]) == cli.EXIT_CONFIG
 
 
 def test_bare_field_value_reports_the_real_fault(tmp_path, capsys):

@@ -117,12 +117,19 @@ def test_grid_refinement_stability(unit_field):
         assert abs(v1 - v2) < 4e-5
 
 
-def test_dirac_spectrum_widens_a_narrow_mode_window(unit_field):
+def test_dirac_spectrum_widens_a_narrow_mode_window(unit_field, monkeypatch):
     # an end mode of (-1, 1) holds one of the four lowest roots, so the window
-    # widens until none does; each (m, k) root does not depend on the window
+    # widens until none does; each (m, k) root does not depend on the window.
+    # The pivot counts settle the window before any root is bisected: 8
+    # bisections, 11 while each narrower window's selected roots were bisected
     spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
+    wide = disk.dirac_spectrum(spec, 4)
+    bisected, real = [], disk._bisect_ell
+    monkeypatch.setattr(disk, "_bisect_ell", lambda op, k, lo, hi:
+                        bisected.append((op.m, op.field_sign, k)) or real(op, k, lo, hi))
     narrow = disk.dirac_spectrum(dataclasses.replace(spec, m_range=(-1, 1)), 4)
-    assert _spectrum_hex(narrow) == _spectrum_hex(disk.dirac_spectrum(spec, 4))
+    assert len(bisected) == 8 == len(set(bisected))
+    assert _spectrum_hex(narrow) == _spectrum_hex(wide)
     assert any(abs(m) >= 1 for m, _ in narrow.pos_provenance + narrow.neg_provenance)
 
 
