@@ -154,8 +154,22 @@ def _write_json(path: Path, config: Dict[str, str], data) -> None:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out} cannot be a directory: {exc}") from None
     return out
+
+
+def _check_fiber_range(xi: float, n: int, power: int = 2) -> None:
+    """The fiber matrix on default_grid(xi, n) holds 1/step^2 and (tau +- xi)^2
+    for tau in [0, x1], and the moments (xi - tau)^4; every |tau +- xi| is at
+    most x1 + |xi|, and the step x1/(n - 1) is smaller, so fail unless
+    (x1 + |xi|)^power is finite."""
+    size = fibermod.default_grid(xi, n).x1 + abs(xi)
+    if not size <= sys.float_info.max ** (1.0 / power):
+        raise ConfigError(f"--xi {xi} is out of range: |tau +- xi| reaches {size:.3g} "
+                          f"on the fiber grid, and its power {power} overflows")
 
 
 # ----------------------------------------------------------------- dispersion
@@ -168,6 +182,7 @@ def cmd_dispersion(args) -> int:
     if max(ks) > k_max:
         raise ConfigError(f"--k must be <= {k_max} for --branch {args.branch} "
                           f"at --n {args.n}, got {args.k!r}")
+    _check_fiber_range(float(max(xi[0], xi[-1], key=abs)), args.n)
     out = _outdir(args)
     header = ["xi"]
     columns: List[List[float]] = []
@@ -201,6 +216,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_a0(args) -> int:
+    out = _outdir(args)
     res = dispmod.find_a0(args.n)
     data = {
         "a0": res.a0,
@@ -215,7 +231,6 @@ def cmd_a0(args) -> int:
         data["refined"] = {"a0": fine.a0, "grid_n": fine.grid_n}
         data["a0_richardson"] = fine.a0 + (fine.a0 - res.a0) / 3.0
         data["grid_change"] = abs(fine.a0 - res.a0)
-    out = _outdir(args)
     name = out / "a0.json"
     _write_json(name, _config_dict(args), data)
     print(f"wrote {name}  (a0 = {res.a0:.6f})")
@@ -228,8 +243,9 @@ def cmd_a0(args) -> int:
 def cmd_momenta(args) -> int:
     if args.alpha is None or args.xi is None:
         raise ConfigError("momenta requires --alpha and --xi (flag or config file)")
-    mom = dispmod.momenta(args.alpha, args.xi, args.n)
+    _check_fiber_range(args.xi, args.n, power=4)
     out = _outdir(args)
+    mom = dispmod.momenta(args.alpha, args.xi, args.n)
     name = out / "momenta.csv"
     rows = [[j, mom[j]] for j in range(5)]
     _write_csv(name, _config_dict(args), ["j", "M_j"], rows)
@@ -351,12 +367,12 @@ def cmd_constants(args) -> int:
     w = ckmod.BargmannWeight.isotropic(b0)
     curve = ckmod.BoundaryCurve.circle(args.R, z_min=complex(args.zmin_re, args.zmin_im))
     _check_ck_range(ks, b0, args.R)
+    out = _outdir(args)
     rows = []
     for k in ks:
         res = ckmod.ck_constant(k, w, curve)
         closed = b0**k / math.factorial(k - 1) * (args.R**2 / 2) ** (k - 1) * args.R
         rows.append([k, res.dist_H, res.dist_B, res.Ck, closed, abs(res.Ck - closed)])
-    out = _outdir(args)
     name = out / "constants.csv"
     _write_csv(name, _config_dict(args),
                ["k", "dist_H", "dist_B", "Ck", "disk_closed_form", "deviation"], rows)
@@ -365,6 +381,23 @@ def cmd_constants(args) -> int:
 
 
 # ------------------------------------------------------------------ effective
+
+
+def _read_kappa(path: str) -> np.ndarray:
+    """One column or one row of finite curvature samples, at least one."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns here; its shape is checked below
+            warnings.simplefilter("ignore", UserWarning)
+            samples = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --kappa file: {exc}") from None
+    if min(samples.shape) != 1:
+        raise ConfigError(f"--kappa {path} must hold one column or one row of numbers, "
+                          f"got {samples.shape[0]} rows of {samples.shape[1]}")
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"--kappa {path} holds a sample that is not finite")
+    return samples.ravel()
 
 
 def cmd_effective(args) -> int:
@@ -381,33 +414,36 @@ def cmd_effective(args) -> int:
         if value is not None and not args.kappa:
             raise ConfigError(f"{flag} applies only with --kappa")
     if args.kappa:
-        try:
-            samples = np.loadtxt(args.kappa, delimiter=",", ndmin=1)
-        except OSError as exc:
-            raise ConfigError(f"cannot read --kappa file: {exc}") from None
-    elif not args.R * args.R / (2 * args.h) <= 2**52:  # the lowest levels' |m| ~ R t_h
-        raise ConfigError(f"--R {args.R} with --h {args.h} puts the disk's mode numbers "
-                          f"near R^2/(2h) past 2^52, where doubles no longer hold every integer")
+        samples = _read_kappa(args.kappa)
+    elif not math.isfinite(args.h * math.sqrt(args.h)):
+        raise ConfigError(f"--h {args.h} is out of range: the fine-structure term's "
+                          f"h^(3/2) overflows")
+    L = 2 * math.pi * args.R if args.L is None else args.L
+    area = math.pi * args.R * args.R if args.area is None else args.area
+    # the lowest levels sit at modes near -t_h L / (2 pi), and a0 < sqrt(2)
+    if not (area / args.h + L * math.sqrt(2 / args.h)) / (2 * math.pi) <= 2**52:
+        geometry = " ".join(f"{flag} {value}" for flag, value in (
+            ("--R", args.R), ("--L", args.L), ("--area", args.area)) if value is not None)
+        raise ConfigError(f"{geometry} with --h {args.h} puts the lowest levels at mode "
+                          "numbers near (area/h + L sqrt(2/h))/(2 pi), past 2^52, where "
+                          "doubles no longer hold every integer")
     out = _outdir(args)
     a0res = dispmod.find_a0(args.n_a0)
+    t_h = effmod.flux_th(area, L, args.h, a0res.a0)
     if args.kappa:
-        L = 2 * math.pi * args.R if args.L is None else args.L
-        area = math.pi * args.R**2 if args.area is None else args.area
-        spec = effmod.EffSpec(
-            L=L, t_h=effmod.flux_th(area, L, args.h, a0res.a0), kappa=samples)
+        spec = effmod.EffSpec(L=L, t_h=t_h, kappa=samples)
         eff = effmod.qeff_general(spec, args.count)
-        shifted = dataclasses.replace(spec, t_h=spec.t_h + 2 * math.pi / L)
+        shifted = dataclasses.replace(spec, t_h=t_h + 2 * math.pi / L)
         gauge_err = float(np.max(np.abs(
             effmod.qeff_general(shifted, args.count).values - eff.values)))
         rows = [[n + 1, eff.values[n], ""] for n in range(args.count)]
         rows.append(["gauge_periodicity_error", gauge_err, ""])
     else:
-        spec = effmod.EffSpec.disk(args.R, args.h, a0res.a0)
-        eff = effmod.qeff_disk(spec.t_h, args.R, args.count)
+        eff = effmod.qeff_disk(t_h, args.R, args.count)
         rows = [
             [n + 1, eff.values[n], eff.m_sequence[n]] for n in range(args.count)
         ]
-        rows.append(["t_h", spec.t_h, ""])
+        rows.append(["t_h", t_h, ""])
         rows.append(["prediction_lambda1", effmod.lambda_minus_prediction(
             1, args.h, a0res, eff), ""])
     name = out / "effective.csv"

@@ -43,8 +43,8 @@ class CutoffError(RuntimeError):
 class EffSpec:
     """Effective operator data: geometry, flux constant and curvature profile.
 
-    ``kappa`` is a constant or uniform samples over one period
-    (Fourier-interpolated).
+    ``kappa`` holds uniform samples over one period (Fourier-interpolated);
+    a constant is one sample.
     """
 
     L: float
@@ -103,11 +103,7 @@ def qeff_disk(t_h: float, R: float, count: int) -> EffSpectrum:
 
 def _kappa_coefficients(spec: EffSpec, n_modes: int) -> np.ndarray:
     """Fourier coefficients c_p of kappa^2 / 12 for |p| <= n_modes."""
-    if isinstance(spec.kappa, (int, float)):
-        c = np.zeros(2 * n_modes + 1, dtype=complex)
-        c[n_modes] = float(spec.kappa) ** 2 / 12.0
-        return c
-    vals = np.asarray(spec.kappa, dtype=float)
+    vals = np.atleast_1d(np.asarray(spec.kappa, dtype=float))
     spectrum = np.fft.fft(vals**2 / 12.0) / vals.size
     # N samples interpolate with frequencies |p| <= N/2 only; aliases of the
     # sampled spectrum above that are not the curvature's
@@ -119,16 +115,18 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """Fourier-Galerkin spectrum of (D_s + t_h)^2 - kappa^2 / 12.
 
     Momentum modes 2 pi m / L are exactly diagonal; only kappa^2/12 couples
-    them, through its Toeplitz matrix of Fourier coefficients.  The modes
-    |m| <= max(64, 4 count + 16) are kept, and the values are checked
-    against a solve with 8 more on each side.
+    them, through its Toeplitz matrix of Fourier coefficients.  The lowest
+    levels sit near the mode centre = round(-t_h L / (2 pi)), as on the disk;
+    the modes |m - centre| <= max(64, 4 count + 16) are kept, and the values
+    are checked against a solve with 8 more on each side.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     cutoff = max(64, 4 * count + 16)
+    centre = round(-spec.t_h * spec.L / (2.0 * math.pi))
 
     def solve(cutoff: int) -> np.ndarray:
-        modes = np.arange(-cutoff, cutoff + 1)
+        modes = centre + np.arange(-cutoff, cutoff + 1)
         diag = (2.0 * math.pi * modes / spec.L + spec.t_h) ** 2
         c = _kappa_coefficients(spec, 2 * cutoff)
         # entry (i, j) couples modes i and j through c_{i-j}, stored at 2 cutoff + i - j

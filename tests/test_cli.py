@@ -221,6 +221,20 @@ def test_effective_command_kappa_file(tmp_path):
     assert err < 1e-10
 
 
+def test_effective_constant_kappa_matches_the_disk_at_small_h(tmp_path):
+    # kappa = 1 on the unit circle is the disk: at h = 0.001 the lowest levels
+    # sit near mode -459, and both routes must find them
+    kap = tmp_path / "kappa.csv"
+    np.savetxt(kap, np.ones(4))
+    values = []
+    for extra in (["--kappa", str(kap)], []):
+        assert run(["effective", "--h", "0.001", "--n-a0", "1001",
+                    "--out", str(tmp_path)] + extra) == cli.EXIT_OK
+        rows = read_csv(tmp_path / "effective.csv")[2]
+        values.append([float(r[1]) for r in rows if r[0].isdigit()])
+    assert np.max(np.abs(np.subtract(*values))) < 1e-12
+
+
 def test_effective_command_short_kappa_file(tmp_path):
     # 8 samples determine kappa = 1 + 0.3 cos s: no CutoffError from aliases
     kap = tmp_path / "kappa.csv"
@@ -376,7 +390,7 @@ GOLDEN = {
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
-        "4a602352ae86f11081ee1b29f0015a9c5f2a716b58bc7dc6ea28b5c6b9b52ed1"),
+        "930ff38f3afe0ef97ba08020709100c7691623eca71df672355f57677013f68b"),
     # check writes no file; its PASS/FAIL lines on stdout are the payload
     "check.stdout": (
         ["check"],
@@ -477,6 +491,8 @@ def test_disk_pos_above_max_k_fails_before_solving(tmp_path, capsys, monkeypatch
         f"configuration error: --pos must be <= {MAX_K}, got {MAX_K + 1}\n")
 
 
+MODES_PAST_2_52 = ("mode numbers near (area/h + L sqrt(2/h))/(2 pi), past 2^52, where "
+                   "doubles no longer hold every integer")
 FAIL_FAST = [
     (["constants", "--k", f"1..{MAX_K + 1}"], f"--k must lie in 1..{MAX_K}, got '1..{MAX_K + 1}'"),
     (["constants", "--k", "4..1"], "--k selects no values, got '4..1'"),
@@ -546,15 +562,43 @@ FAIL_FAST = [
      "past 2^960"),
     (["disk", "--R", "1e200"],
      "--R 1e+200 is out of range for C_1: its closed form reaches 2^1331, past 2^960"),
-    (["effective", "--R", "1e200", "--h", "0.1"], "--R 1e+200 with --h 0.1 puts the disk's "
-     "mode numbers near R^2/(2h) past 2^52, where doubles no longer hold every integer"),
+    # geometries whose lowest levels sit at mode numbers past 2^52, on both routes
+    (["effective", "--R", "1e200", "--h", "0.1"], "--R 1e+200 with --h 0.1 puts the lowest "
+     f"levels at {MODES_PAST_2_52}"),
+    (["effective", "--kappa", "kappa.csv", "--R", "1e100", "--h", "0.1"],
+     f"--R 1e+100 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
+    (["effective", "--kappa", "kappa.csv", "--R", "1e200"],
+     f"--R 1e+200 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
+    (["effective", "--kappa", "kappa.csv", "--L", "1e300"],
+     f"--R 1.0 --L 1e+300 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
+    (["effective", "--kappa", "kappa.csv", "--area", "1e300"],
+     f"--R 1.0 --area 1e+300 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
+    # --kappa files that are not one column or one row of finite numbers
+    (["effective", "--kappa", "two_columns.csv"],
+     "--kappa two_columns.csv must hold one column or one row of numbers, got 4 rows of 2"),
+    (["effective", "--kappa", "empty.csv"],
+     "--kappa empty.csv must hold one column or one row of numbers, got 0 rows of 1"),
+    (["effective", "--kappa", "nan.csv"], "--kappa nan.csv holds a sample that is not finite"),
+    (["effective", "--kappa", "inf.csv"], "--kappa inf.csv holds a sample that is not finite"),
+    # values whose h^{3/2}, fiber matrix or moments overflow
+    (["effective", "--h", "1e300"],
+     "--h 1e+300 is out of range: the fine-structure term's h^(3/2) overflows"),
+    (["momenta", "--alpha", "1", "--xi", "1e160", "--n", "101"], "--xi 1e+160 is out of "
+     "range: |tau +- xi| reaches 2e+160 on the fiber grid, and its power 4 overflows"),
+    (["momenta", "--alpha", "1", "--xi", "1e100", "--n", "101"], "--xi 1e+100 is out of "
+     "range: |tau +- xi| reaches 2e+100 on the fiber grid, and its power 4 overflows"),
+    (["dispersion", "--branch", "nu-minus", "--xi", "1e160:1e160:1", "--n", "101"],
+     "--xi 1e+160 is out of range: |tau +- xi| reaches 2e+160 on the fiber grid, and its "
+     "power 2 overflows"),
+    (["dispersion", "--branch", "nu-plus", "--xi", "1e154:1e154:1", "--n", "100001"],
+     "--xi 1e+154 is out of range: |tau +- xi| reaches 2e+154 on the fiber grid, and its "
+     "power 2 overflows"),
 ]
 
 
-@pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
-def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err):
-    # a0, the moments, the C_k, the disk spectra and the dispersion curves
-    # must not be computed for a run that fails
+@pytest.fixture
+def no_solvers(monkeypatch):
+    """Every solver the subcommands call fails the test when it runs."""
     monkeypatch.setattr(cli.dispmod, "theta", lambda *a, **kw: pytest.fail("theta was called"))
     monkeypatch.setattr(cli.fibermod, "nu_values",
                         lambda *a, **kw: pytest.fail("nu_values was called"))
@@ -569,8 +613,33 @@ def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, argv, err)
     for name in ("qeff_disk", "qeff_general"):
         monkeypatch.setattr(cli.effmod, name,
                             lambda *a, f=name, **kw: pytest.fail(f"{f} was called"))
+
+
+@pytest.mark.parametrize("argv, err", FAIL_FAST, ids=[" ".join(a) for a, _ in FAIL_FAST])
+def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, no_solvers, argv, err):
+    # a0, the moments, the C_k, the disk spectra and the dispersion curves
+    # must not be computed for a run that fails
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("kappa.csv", np.ones(4))
+    np.savetxt("two_columns.csv", np.ones((4, 2)), delimiter=",")
+    np.savetxt("nan.csv", [1.0, math.nan])
+    np.savetxt("inf.csv", [math.inf])
+    Path("empty.csv").touch()
     assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {err}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["dispersion"], ["a0"], ["momenta", "--alpha", "1", "--xi", "1"], ["disk"],
+    ["constants"], ["effective"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["file", "file/x"])
+def test_out_that_cannot_be_a_directory_fails_before_solving(tmp_path, capsys, no_solvers,
+                                                              command, out):
+    # an existing file, or a path below one, is no output directory
+    (tmp_path / "file").touch()
+    assert run(command + ["--out", str(tmp_path / out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: --out {tmp_path / out} cannot be a directory: ")
 
 
 @pytest.mark.parametrize("k", (1, 3, MAX_K))

@@ -56,6 +56,17 @@ def test_qeff_general_matches_disk():
         assert np.max(np.abs(got.values - want.values)) < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.006, 0.001])
+@pytest.mark.parametrize("kappa", [1.0, np.ones(4)], ids=["constant", "samples"])
+def test_qeff_general_centres_on_the_levels(h, kappa):
+    # at small h the lowest levels sit near m = -t_h: a window around m = 0
+    # misses them and the +8-mode check raises CutoffError
+    t_h = effective.flux_th(math.pi, 2 * math.pi, h, 1.3132547)
+    got = effective.qeff_general(effective.EffSpec(L=2 * math.pi, t_h=t_h, kappa=kappa), 5)
+    want = effective.qeff_disk(t_h, 1.0, 5)
+    assert np.max(np.abs(got.values - want.values)) < 1e-12
+
+
 def test_gauge_periodicity_both_routes():
     spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     base = effective.qeff_general(spec, 4)
