@@ -427,6 +427,18 @@ def cmd_effective(args) -> int:
         raise ConfigError(f"{geometry} with --h {args.h} puts the lowest levels at mode "
                           "numbers near (area/h + L sqrt(2/h))/(2 pi), past 2^52, where "
                           "doubles no longer hold every integer")
+    if args.kappa:
+        # the Galerkin diagonal reaches (2 pi (cutoff + 8) / L)^2, and the Fourier
+        # coefficients of kappa^2 / 12 sum the samples
+        top = 2 * math.pi * (effmod._cutoff(args.count) + 8) / L
+        if not math.isfinite(top * top):
+            flag, value = ("--L", args.L) if args.L is not None else ("--R", args.R)
+            raise ConfigError(f"{flag} {value} is out of range: the Galerkin diagonal "
+                              f"(2 pi (cutoff + 8) / L)^2 overflows")
+        peak = float(np.max(np.abs(samples)))
+        if not math.isfinite(samples.size * peak * peak / 12):
+            raise ConfigError(f"--kappa {args.kappa} is out of range: the sum of its "
+                              f"kappa^2 / 12 overflows")
     out = _outdir(args)
     a0res = dispmod.find_a0(args.n_a0)
     t_h = effmod.flux_th(area, L, args.h, a0res.a0)

@@ -20,7 +20,13 @@ eigenvalue ell_k(lambda) of the quadratic form
 negative ones from the same construction with the field flipped (charge
 conjugation; ``RadialField(-B, R)`` is that flipped field).  A staggered
 first-order discretization of the radial system serves as an independent
-oracle.
+oracle.  Interleaved (ghat_0, f_0, ghat_1, f_1, ...), its matrix is
+tridiagonal but for one wall entry, which two elementary similarity steps
+fold into the band; every off-diagonal product is then positive (else it
+raises), so a diagonal similarity makes it symmetric and its spectrum real.  Its
+eigenpairs nearest a shift come from the tridiagonal eigensolver, from the
+shift's Sturm count outward until no eigenvalue outside the window can be
+nearer than those kept.
 """
 
 from __future__ import annotations
@@ -32,11 +38,9 @@ from functools import cached_property
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .numerics import (Grid1D, TridiagSym, _norm1, certified_sign, eig_sym_tridiag, integrate,
-                       pivot_count)
+from .numerics import (Grid1D, TridiagSym, _norm1, certified_sign, count_below, eig_sym_tridiag,
+                       integrate, pivot_count)
 
 __all__ = [
     "RadialField",
@@ -497,27 +501,18 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     return np.array([v for v, _, _ in selected])
 
 
-def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) -> np.ndarray:
-    """Signed eigenvalues of the first-order radial system (oracle).
-
-    Staggered grid: f on edges j*delta (j = 1..N, the last exactly at R),
-    ghat on centers (j - 1/2)*delta.  The wall condition ghat(R) = -f(R)
-    enters through a one-sided second-order closure of ghat'(R).  Returns
-    the 2*count converged eigenvalues closest to the shift ``sigma``,
-    ascending.
-    """
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    N = spec.rgrid.n
-    R = spec.field.R
-    h = spec.h
+def _staggered_bands(spec: DiskSpec, m: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The staggered radial system of ``dirac_radial_direct`` in the interleaved
+    order (ghat_0, f_0, ghat_1, f_1, ...): the f and ghat nodes the centrifugal
+    cut keeps, then the matrix's diagonal, super- and sub-diagonal and its one
+    entry outside the band, the wall row's coupling to ghat_{nf-2}."""
+    N, R, h = spec.rgrid.n, spec.field.R, spec.h
     delta = R / N
     edges = np.arange(1, N + 1) * delta
     centers = (np.arange(1, N + 1) - 0.5) * delta
-    dphi_e = spec.gauge.dphi_at(edges)
-    dphi_c = spec.gauge.dphi_at(centers)
-    w_c = -h * m / centers + dphi_c  # h f' + w f  at centers
-    u_e = h * (m + 1) / edges - dphi_e  # -h g' - u g  at edges
+    w_c = -h * m / centers + spec.gauge.dphi_at(centers)  # h f' + w f  at centers
+    u_e = h * (m + 1) / edges - spec.gauge.dphi_at(edges)  # -h g' - u g  at edges
 
     # centrifugal cut, as in the second-order route: drop the leading cells
     # where the averaged coupling would violate the mesh-Peclet bound
@@ -527,53 +522,92 @@ def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) 
         raise ValueError(f"mode m={m} unresolvable on this grid (cut at {cut}/{N})")
     nf = N - cut  # f unknowns: edges cut+1..N, ghat unknowns: centers cut+1..N
 
-    # entries row by row in the order of the staggered stencil: each ghat
-    # equation (center j) couples f_{j-1} and f_j, each interior f equation
-    # (edge j) ghat_{j+1} and ghat_j; at m = 0 without a cut the regularity
-    # closure f(0) ~ f(delta) repeats f_1 in the first ghat row
-    t = np.arange(nf)
     wc, ue = w_c[cut:], u_e[cut:N - 1]
-    g_rows = np.repeat(nf + t, 2)
-    g_cols = np.column_stack([np.maximum(t - 1, 0), t]).ravel()
-    g_data = np.column_stack([-h / delta + 0.5 * wc, h / delta + 0.5 * wc]).ravel()
-    first = 0 if m == 0 and cut == 0 else 1  # keep the closure's repeated f_1
-    f_rows = np.repeat(t[:-1], 2)
-    f_cols = np.column_stack([nf + t[1:], nf + t[:-1]]).ravel()
-    f_data = np.column_stack([-h / delta - 0.5 * ue, h / delta - 0.5 * ue]).ravel()
-    # f equation at the wall edge, using ghat(R) = -f(R)
+    sup, sub = np.empty(2 * nf - 1), np.empty(2 * nf - 1)
+    # each ghat equation (center t, row 2t) couples f_{t-1} and f_t; at m = 0
+    # without a cut the regularity closure f(0) ~ f(delta) adds its f_{-1} to f_0
+    sup[0::2] = h / delta + 0.5 * wc
+    sub[1::2] = -h / delta + 0.5 * wc[1:]
+    if m == 0 and cut == 0:
+        sup[0] += -h / delta + 0.5 * wc[0]
+    # each interior f equation (edge t, row 2t + 1) couples ghat_t and ghat_{t+1}
+    sup[1::2] = -h / delta - 0.5 * ue
+    sub[0:-1:2] = h / delta - 0.5 * ue
+    # f equation at the wall edge, using ghat(R) = -f(R) in a one-sided
+    # second-order closure of ghat'(R)
     w0, w1, w2 = 8.0 / (3.0 * delta), -3.0 / delta, 1.0 / (3.0 * delta)
-    rows = np.concatenate([g_rows[first:], f_rows, [nf - 1] * 3])
-    cols = np.concatenate([g_cols[first:], f_cols, [nf - 1, 2 * nf - 1, 2 * nf - 2]])
-    data = np.concatenate([g_data[first:], f_data,
-                           [h * w0 + u_e[N - 1], -h * w1, -h * w2]])
+    diag = np.zeros(2 * nf)
+    diag[-1] = h * w0 + u_e[N - 1]
+    sub[-1] = -h * w1
+    return edges[cut:], centers[cut:], diag, sup, sub, -h * w2
 
-    mat = scipy.sparse.csc_matrix(
-        (data, (rows, cols)), shape=(2 * nf, 2 * nf), dtype=float
-    )
-    k = min(2 * count + 6, 2 * nf - 2)
-    v0 = np.ones(2 * nf)
-    vals, vecs = scipy.sparse.linalg.eigs(mat, k=k, sigma=sigma, which="LM", v0=v0)
 
-    r_f = edges[cut:]
-    r_g = centers[cut:]
-    r_inner = max(8.0 * delta, 0.02 * R)
-    keep: List[float] = []
-    for idx in range(vals.size):
-        lam = vals[idx]
-        if abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real)):
-            continue
-        f_part = np.real(vecs[:nf, idx])
-        g_part = np.real(vecs[nf:, idx])
+def _symmetric_form(m: int, diag: np.ndarray, sup: np.ndarray, sub: np.ndarray, corner: float
+                    ) -> Tuple[TridiagSym, float, float, np.ndarray]:
+    """T = S E2 E1 A E1^-1 E2^-1 S^-1 for A = ``_staggered_bands``, which it
+    overwrites; returns T, mu, nu and 1/s up to a factor (at most 1), so that
+    an eigenvector y of T gives x = E1^-1 E2^-1 S^-1 y of A.
+
+    With L the wall row, E1 = I - mu e_L e_{L-2}^T clears the corner A[L, L-3]
+    and E2 = I - nu e_L e_{L-1}^T the entry E1 puts at (L, L-2); the
+    tridiagonal left is diagonally similar to a symmetric one, s_{i+1} / s_i =
+    sqrt(sup_i / sub_i), when every product sup_i sub_i is positive
+    (Wilkinson 1965)."""
+    L = diag.size - 1
+    mu = corner / sub[L - 3]
+    sub[L - 1] -= mu * sup[L - 2]
+    sub[L - 2] += mu * sup[L - 1]
+    nu = mu * diag[L] / sub[L - 2]
+    diag[L] -= nu * sup[L - 1]
+    diag[L - 1] += nu * sup[L - 1]
+    sub[L - 1] += nu * diag[L]
+    prod = sup * sub
+    if not np.all(prod > 0.0):
+        i = int(np.argmin(prod > 0.0))
+        raise ValueError(f"mode m={m}: the staggered system is not similar to a symmetric "
+                         f"tridiagonal (off-diagonal product {prod[i]:.3g} at row {i})")
+    log_s = np.append(0.0, np.cumsum(0.5 * np.log(sup / sub)))
+    return TridiagSym(diag, np.copysign(np.sqrt(prod), sup)), mu, nu, np.exp(log_s.min() - log_s)
+
+
+def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) -> np.ndarray:
+    """Signed eigenvalues of the first-order radial system (oracle).
+
+    Staggered grid: f on edges j*delta (j = 1..N, the last exactly at R),
+    ghat on centers (j - 1/2)*delta.  The wall condition ghat(R) = -f(R)
+    enters through a one-sided second-order closure of ghat'(R).  In the
+    order (ghat_0, f_0, ghat_1, f_1, ...) the matrix is tridiagonal but for
+    one wall entry; two elementary similarity steps fold that entry into the
+    band and a diagonal one makes it symmetric (``_symmetric_form``), so the
+    spectrum is real and the package's tridiagonal eigensolver takes it.
+
+    Returns the 2*count eigenvalues closest to the shift ``sigma`` that pass
+    the oscillation and origin filters, ascending.  The eigenpairs are
+    computed from the 2*count indices around sigma's Sturm count outward,
+    one at a time on the side nearer sigma, while fewer than 2*count pass or
+    an eigenvalue outside the window (bounded by its end values) could lie
+    nearer sigma than the 2*count-th one that passed.
+    """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    r_f, r_g, *bands = _staggered_bands(spec, m)
+    t, mu, nu, inv_s = _symmetric_form(m, *bands)
+    R = spec.field.R
+    r_inner = max(8.0 * (R / spec.rgrid.n), 0.02 * R)
+    want, n, keep = 2 * count, t.n, []
+
+    def passes(lam: float, y: np.ndarray) -> bool:
+        x = y * inv_s
+        x[-1] += nu * x[-2] + mu * x[-3]
+        g_part, f_part = x[0::2], x[1::2]
         ref = np.max(np.abs(f_part))
         if ref > 0:
             sig = f_part[np.abs(f_part) > 1e-8 * ref]
             if sig.size > 3:
                 flips = np.mean(sig[1:] * sig[:-1] < 0.0)
                 if flips > 0.6:
-                    warnings.warn(
-                        f"filtered oscillatory mode at lambda={lam.real:.6g} (m={m})"
-                    )
-                    continue
+                    warnings.warn(f"filtered oscillatory mode at lambda={lam:.6g} (m={m})")
+                    return False
         # the grid normalizes the continuum-inadmissible singular solutions
         # (~ r^{-|m|} or r^{-|m+1|}); they sit entirely at the inner cut
         total = np.sum(r_f * f_part**2) + np.sum(r_g * g_part**2)
@@ -582,11 +616,30 @@ def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) 
             + np.sum(r_g[r_g < r_inner] * g_part[r_g < r_inner] ** 2)
         )
         if inner > 0.5 * total:
-            warnings.warn(
-                f"filtered origin-concentrated mode at lambda={lam.real:.6g} (m={m})"
-            )
-            continue
-        keep.append(float(lam.real))
+            warnings.warn(f"filtered origin-concentrated mode at lambda={lam:.6g} (m={m})")
+            return False
+        return True
+
+    def solve(first: int, k: int) -> np.ndarray:
+        vals, vecs = eig_sym_tridiag(t, k, vectors=True, first=first)
+        keep.extend(float(lam) for lam, y in zip(vals, vecs.T) if passes(lam, y))
+        return vals
+
+    a = max(0, min(count_below(t, sigma) - count, n - want))
+    b = min(n, a + want)
+    lo, hi = solve(a, b - a)[[0, -1]]
+    while True:
+        near = sorted(abs(v - sigma) for v in keep)
+        worst = near[want - 1] if len(near) >= want else math.inf
+        left = sigma - lo if a > 0 else math.inf
+        right = hi - sigma if b < n else math.inf
+        if min(left, right) >= worst:
+            break
+        if left <= right:
+            a -= 1
+            lo = solve(a, 1)[0]
+        else:
+            b += 1
+            hi = solve(b - 1, 1)[0]
     keep.sort(key=lambda x: abs(x - sigma))
-    out = sorted(keep[: 2 * count])
-    return np.array(out)
+    return np.array(sorted(keep[:want]))

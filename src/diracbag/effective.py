@@ -111,6 +111,11 @@ def _kappa_coefficients(spec: EffSpec, n_modes: int) -> np.ndarray:
     return np.where(2 * np.abs(p) <= vals.size, spectrum[p % vals.size], 0.0)
 
 
+def _cutoff(count: int) -> int:
+    """Galerkin modes ``qeff_general`` keeps on each side of its centre."""
+    return max(64, 4 * count + 16)
+
+
 def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """Fourier-Galerkin spectrum of (D_s + t_h)^2 - kappa^2 / 12.
 
@@ -122,7 +127,7 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    cutoff = max(64, 4 * count + 16)
+    cutoff = _cutoff(count)
     centre = round(-spec.t_h * spec.L / (2.0 * math.pi))
 
     def solve(cutoff: int) -> np.ndarray:

@@ -123,8 +123,10 @@ def eig_sym_tridiag(
     m: TridiagSym,
     k: int,
     vectors: bool = False,
+    first: int = 0,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The k smallest eigenvalues (ascending) of a symmetric tridiagonal matrix.
+    """The k eigenvalues (ascending) of a symmetric tridiagonal matrix from
+    index ``first`` on (0: the smallest).
 
     Values are computed by Sturm-sequence bisection and, when requested,
     eigenvectors by inverse iteration (LAPACK stebz/stein via scipy), with
@@ -132,8 +134,9 @@ def eig_sym_tridiag(
 
     Returns (values, vectors_or_None); vectors are columns.
     """
-    if k < 1 or k > m.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={m.n}")
+    if k < 1 or first < 0 or first + k > m.n:
+        raise ValueError(f"need 1 <= k, 0 <= first and first + k <= n, "
+                         f"got k={k}, first={first}, n={m.n}")
     try:
         if m.n == 1:
             vals = np.array([m.diag[0]])
@@ -144,7 +147,7 @@ def eig_sym_tridiag(
                 m.offdiag,
                 eigvals_only=not vectors,
                 select="i",
-                select_range=(0, k - 1),
+                select_range=(first, first + k - 1),
             )
             vals, vecs = out if vectors else (out, None)
     except (scipy.linalg.LinAlgError, ValueError) as exc:

@@ -386,7 +386,7 @@ GOLDEN = {
     "disk_report_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
          "--oracle", "--neg", "3", "--pos", "2"],
-        "a4bac024439b37e408475a54c45a335cc6e5a338b5bff4b29e51d55f5cc8bc59"),
+        "7ae77fc9796665fea046b87f91acd009d5292ab89ef65d0758c1c96d17290c2a"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
@@ -573,6 +573,11 @@ FAIL_FAST = [
      f"--R 1.0 --L 1e+300 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
     (["effective", "--kappa", "kappa.csv", "--area", "1e300"],
      f"--R 1.0 --area 1e+300 with --h 0.1 puts the lowest levels at {MODES_PAST_2_52}"),
+    # Galerkin entries past the largest double
+    (["effective", "--kappa", "kappa.csv", "--L", "1e-300"], "--L 1e-300 is out of range: "
+     "the Galerkin diagonal (2 pi (cutoff + 8) / L)^2 overflows"),
+    (["effective", "--kappa", "huge.csv"],
+     "--kappa huge.csv is out of range: the sum of its kappa^2 / 12 overflows"),
     # --kappa files that are not one column or one row of finite numbers
     (["effective", "--kappa", "two_columns.csv"],
      "--kappa two_columns.csv must hold one column or one row of numbers, got 4 rows of 2"),
@@ -624,6 +629,7 @@ def test_bad_flag_fails_before_solving(tmp_path, capsys, monkeypatch, no_solvers
     np.savetxt("two_columns.csv", np.ones((4, 2)), delimiter=",")
     np.savetxt("nan.csv", [1.0, math.nan])
     np.savetxt("inf.csv", [math.inf])
+    np.savetxt("huge.csv", [1e200])
     Path("empty.csv").touch()
     assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {err}\n"

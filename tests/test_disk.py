@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracbag import disk, numerics
 from diracbag.numerics import Grid1D
@@ -522,20 +524,70 @@ def _oracle_entries_by_loop(spec, m):
                   (nf - 1, 2 * nf - 2, -h * w2)]
 
 
-def test_oracle_assembly_matches_the_stencil_loop(unit_field, monkeypatch):
-    # same entries in the same order, bit for bit, so the sparse matrix and
-    # the ARPACK result do not move
-    captured, real = [], disk.scipy.sparse.csc_matrix
-    monkeypatch.setattr(disk.scipy.sparse, "csc_matrix",
-                        lambda arg, **kw: captured.append(arg) or real(arg, **kw))
-    for h, m in ((0.2, -3), (0.2, -1), (0.2, 0), (0.1, 0), (0.2, 1), (0.1, 4)):
-        spec = disk.DiskSpec.make(unit_field, h, n=201)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            disk.dirac_radial_direct(spec, m, 1)
-        data, (rows, cols) = captured[-1]
-        got = [(int(i), int(j), float(v).hex()) for i, j, v in zip(rows, cols, data)]
-        assert got == [(i, j, float(v).hex()) for i, j, v in _oracle_entries_by_loop(spec, m)]
+def test_oracle_bands_match_the_stencil_loop():
+    # the interleaved bands hold the loop's entries bit for bit (the closure's
+    # two f_1 entries summed), and the symmetric form keeps the spectrum: the
+    # dense one of the loop's matrix is real and equal to it
+    for h, B, m in itertools.product((0.2, 0.1), (1.0, -1.0, lambda r: 1.0 + r**2),
+                                     (-3, -1, 0, 1, 4)):
+        spec = disk.DiskSpec.make(disk.RadialField(B, 1.0), h, n=201)
+        entries = _oracle_entries_by_loop(spec, m)
+        size = 1 + max(i for i, _, _ in entries)
+        dense = np.zeros((size, size))
+        for i, j, v in entries:
+            dense[i, j] += v
+        nf = size // 2
+        order = np.column_stack([nf + np.arange(nf), np.arange(nf)]).ravel()  # ghat_t, f_t
+        inter = dense[np.ix_(order, order)]
+        *_, diag, sup, sub, corner = disk._staggered_bands(spec, m)
+        for got, want in ((diag, np.diag(inter)), (sup, np.diag(inter, 1)),
+                          (sub, np.diag(inter, -1)), (corner, inter[-1, -4])):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        rest = inter - np.diag(diag) - np.diag(sup, 1) - np.diag(sub, -1)
+        rest[-1, -4] -= corner
+        assert not np.any(rest)
+        t = disk._symmetric_form(m, diag, sup, sub, corner)[0]
+        ref = np.linalg.eigvals(dense)
+        assert not np.any(ref.imag)
+        ref = np.sort(ref.real)
+        got = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))  # 1.3e-14 measured
+
+
+def test_oracle_window_holds_the_nearest_eigenvalues():
+    # where the filters drop nothing, the grown window returns the 2 count
+    # eigenvalues of the whole spectrum nearest sigma
+    checked = 0
+    for h, m, count, sigma in itertools.product((0.2, 0.1), (-3, 0, 2), (1, 2, 3),
+                                                (0.0, -0.5, 0.7)):
+        spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), h, n=201)
+        with warnings.catch_warnings(record=True) as filtered:
+            warnings.simplefilter("always")
+            got = disk.dirac_radial_direct(spec, m, count, sigma=sigma)
+        if filtered:
+            continue
+        t = disk._symmetric_form(m, *disk._staggered_bands(spec, m)[2:])[0]
+        every = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
+        nearest = np.sort(every[np.argsort(np.abs(every - sigma))[:2 * count]])
+        assert np.max(np.abs(got - nearest)) < 1e-12
+        checked += 1
+    assert checked >= 30  # 37 of the 54
+
+
+@pytest.mark.parametrize("h", (0.2, 0.1))
+def test_oracle_eigenpair_count(disk_runs, monkeypatch, h):
+    # the benchmark's oracle call (as `disk --oracle`) takes 3 eigenpairs:
+    # the 2 around sigma and one more on the nearer side
+    spec, sp = disk_runs[h]["spec"], disk_runs[h]["spectrum"]
+    pairs, real = [], disk.eig_sym_tridiag
+    monkeypatch.setattr(disk, "eig_sym_tridiag",
+                        lambda t, k, **kw: pairs.append(k) or real(t, k, **kw))
+    m, _ = sp.neg_provenance[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        direct = disk.dirac_radial_direct(spec, -(m + 1), 1, sigma=-sp.neg[0])
+    assert abs(direct[direct < 0][-1] + sp.neg[0]) / sp.neg[0] < 1e-6
+    assert sum(pairs) <= 4
 
 
 def test_oracle_mode_conjugation(unit_field):

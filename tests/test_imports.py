@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,14 @@ def test_exports_exist_once(path):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def test_no_sparse_import():
+    # the CLI imports every module; none needs scipy.sparse (a fresh process
+    # pays for each import in its start-up time)
+    probe = "import sys, diracbag.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "False\n"

@@ -68,6 +68,19 @@ def test_eig_k_out_of_range():
         eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 3)
 
 
+def test_eig_from_a_first_index():
+    rng = np.random.default_rng(5)
+    m = TridiagSym(rng.normal(size=40), rng.normal(size=39))
+    full, _ = eig_sym_tridiag(m, 40)
+    vals, vecs = eig_sym_tridiag(m, 3, vectors=True, first=10)
+    assert np.max(np.abs(vals - full[10:13])) < 1e-13
+    dense = np.diag(m.diag) + np.diag(m.offdiag, 1) + np.diag(m.offdiag, -1)
+    assert np.max(np.abs(dense @ vecs - vecs * vals)) < 1e-12
+    for k, first in ((3, 38), (1, -1)):
+        with pytest.raises(ValueError):
+            eig_sym_tridiag(m, k, first=first)
+
+
 def _counts_below(d, e, shifts):
     vals = eigh_tridiagonal(d, e, eigvals_only=True) if d.size > 1 else d
     return [int(np.sum(vals < s)) for s in shifts], vals
