@@ -140,7 +140,7 @@ class DiskSpec:
 
     field: RadialField
     h: float
-    m_range: Tuple[int, int]  # where the solvers' mode window starts (``_lowest``)
+    m_range: Tuple[int, int]  # where the solvers' mode window starts (``_lowest``, ``make``)
     rgrid: Grid1D
 
     def __post_init__(self):
@@ -149,9 +149,14 @@ class DiskSpec:
 
     @classmethod
     def make(cls, field: RadialField, h: float, n: int = 2001) -> "DiskSpec":
-        """The window |m| <= ceil(3 R^2 / h) on the n-node shifted grid."""
-        m_max = math.ceil(3.0 * field.R**2 / h)
-        return cls(field=field, h=h, m_range=(-m_max, m_max), rgrid=_shifted_grid(field.R, n))
+        """The window |m| <= ceil(|Phi| / h) + 2 on the n-node shifted grid,
+        Phi = R phi'(R) the flux (B R^2 / 2 for a constant field): the modes
+        whose orbit centre lies in the disk, which hold the low-lying values.
+        ``check_grid`` still checks |m| <= ceil(3 R^2 / h)."""
+        spec = cls(field=field, h=h, m_range=(0, 0), rgrid=_shifted_grid(field.R, n))
+        m_max = math.ceil(abs(field.R * spec.gauge.dphi[-1]) / h) + 2
+        spec.m_range = (-m_max, m_max)
+        return spec
 
     @cached_property
     def gauge(self) -> RadialGauge:
@@ -249,9 +254,11 @@ class _ModeOperator:
 
 
 def check_grid(spec: DiskSpec) -> None:
-    """Raise ValueError unless the radial grid resolves every mode of the
-    window on both branches; the end modes carry the largest centrifugal term."""
-    for m in spec.m_range:
+    """Raise ValueError unless the radial grid resolves every mode |m| <=
+    ceil(3 R^2 / h) on both branches; the end modes carry the largest
+    centrifugal term."""
+    m_max = math.ceil(3.0 * spec.field.R**2 / spec.h)
+    for m in (-m_max, m_max):
         for field_sign in ("plus", "minus"):
             _ModeOperator(spec, m, field_sign)
 
@@ -392,8 +399,8 @@ def _lowest(spec: DiskSpec, count: int, build: Callable, below: Callable, values
     """The ``count`` smallest (value, m, k), sorted, over the angular modes
     from the window ``spec.m_range`` on.  ``build(m)`` makes mode m's operator
     (ValueError if the grid cannot resolve it), ``below(op, y)`` counts its
-    values below y, capped at ``count``, and ``values(op, j)`` gives at least
-    its j smallest, ascending; ``_screen`` from [lo, hi] says how many each
+    values below y, capped at ``count``, and ``values(op, j)`` gives its j
+    smallest, ascending; ``_screen`` from [lo, hi] says how many each
     mode holds.  While an end mode holds a screened value the window widens,
     span -> 1.5 span + 2, reusing the operators built; only then is each
     held mode's ``values`` called, once."""
@@ -405,7 +412,7 @@ def _lowest(spec: DiskSpec, count: int, build: Callable, below: Callable, values
         held = _screen(lambda i, y: below(ops[ms[i]], y), len(ms), count, lo, hi, 8)
         if not (held[0] or held[-1]):
             return sorted((v, m, k) for m, j in zip(ms, held) if j
-                          for k, v in enumerate(values(ops[m], j)[:j], 1))[:count]
+                          for k, v in enumerate(values(ops[m], j), 1))[:count]
         span = max(abs(m_lo), abs(m_hi))
         m_lo, m_hi = -int(1.5 * span) - 2, int(1.5 * span) + 2
 
@@ -493,11 +500,14 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
         return TridiagSym(diag, op.off[:-1])
 
     # only modes with a value below a threshold holding ``count`` values can
-    # contribute; the screen doubles and bisects that threshold, so the fewest
-    # modes are eigensolved, each for at most ``count`` values
+    # contribute; the screen doubles and bisects that threshold from the
+    # branch's floor (the plus form is the minus one, >= 0, plus diag(2 h B)),
+    # and each value a mode holds is eigensolved on its own, from its index,
+    # so no value depends on the screen
+    lo = 2.0 * spec.h * max(float(np.min(bvals)), 0.0) if branch == "plus" else 0.0
     selected = _lowest(spec, count, build, lambda t, x: pivot_count(t, x, count),
-                       lambda t, j: eig_sym_tridiag(t, min(count, t.n))[0],
-                       0.0, spec.h * float(np.max(np.abs(bvals))))
+                       lambda t, j: [eig_sym_tridiag(t, 1, first=k)[0][0] for k in range(j)],
+                       lo, lo + spec.h * float(np.max(np.abs(bvals))))
     return np.array([v for v, _, _ in selected])
 
 

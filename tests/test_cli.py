@@ -296,16 +296,19 @@ def test_disk_error_row_names_exception_type(tmp_path, monkeypatch):
         ["0.25", "0", "error", "nan", "nan", "nan", "ArithmeticError: no root"]]
 
 
-def test_disk_widens_a_narrow_mode_window(tmp_path):
-    # at R = 0.05 the default window (-1, 1) puts an end mode among the four
-    # lowest negative roots; the solver widens it, and the run writes the
-    # roots of the window (-3, 3)
+def test_disk_widens_a_narrow_mode_window(tmp_path, monkeypatch):
+    # at R = 0.05 an end mode of the window (-1, 1) holds one of the four
+    # lowest negative roots; started there, the solver widens it, and the run
+    # writes the roots of the default window (-3, 3)
     field = cli.diskmod.RadialField(1.0, 0.05)
     spec = cli.diskmod.DiskSpec.make(field, 0.2, n=501)
+    sp = cli.diskmod.dirac_spectrum(spec, 4)
+    assert spec.m_range == (-3, 3) and any(abs(m) >= 1 for m, _ in sp.neg_provenance)
+    make = cli.diskmod.DiskSpec.make
+    monkeypatch.setattr(cli.diskmod.DiskSpec, "make", staticmethod(
+        lambda field, h, n: dataclasses.replace(make(field, h, n), m_range=(-1, 1))))
     assert run(["disk", "--h", "0.2", "--R", "0.05", "--n", "501", "--n-a0", "1001",
                 "--out", str(tmp_path)]) == cli.EXIT_OK
-    sp = cli.diskmod.dirac_spectrum(dataclasses.replace(spec, m_range=(-3, 3)), 4)
-    assert spec.m_range == (-1, 1) and any(abs(m) >= 1 for m, _ in sp.neg_provenance)
     expected = [[0.2, branch, i + 1, val, m, k]
                 for branch, vals, prov in (("pos", sp.pos[:2], sp.pos_provenance),
                                            ("neg", sp.neg, sp.neg_provenance))
@@ -316,7 +319,7 @@ def test_disk_widens_a_narrow_mode_window(tmp_path):
 
 
 def test_disk_builds_each_mode_operator_once_while_widening(tmp_path, monkeypatch):
-    # 400 negative roots outgrow the default window (-15, 15) several times;
+    # 400 negative roots outgrow the default window (-5, 5) several times;
     # each widening reuses the operators it has, so dirac_spectrum builds
     # every (m, branch) once rather than once per window, and it bisects each
     # (m, branch, k) once, in the final window
@@ -377,7 +380,7 @@ GOLDEN = {
         "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
-        "119b9b9e639b1b7d5ebfaa662e8ba6624e89e25af544a1a7c119890164dd6efb"),
+        "e4ce2850997cbd0116868805330849131b343cc99c3e986d2f6fabfd61a4359d"),
     # an unsorted h list with a repeated h, and the oracle row
     "disk_spectrum_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
@@ -386,7 +389,7 @@ GOLDEN = {
     "disk_report_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
          "--oracle", "--neg", "3", "--pos", "2"],
-        "7ae77fc9796665fea046b87f91acd009d5292ab89ef65d0758c1c96d17290c2a"),
+        "b274729198aca47104f286e711ddcfda73fa521f219177d9d15a4e095001ae69"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],

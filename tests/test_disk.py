@@ -138,11 +138,38 @@ def test_dirac_spectrum_widens_a_narrow_mode_window(unit_field, monkeypatch):
 @pytest.mark.parametrize("branch", ("plus", "minus"))
 def test_zigzag_widens_a_narrow_mode_window(unit_field, branch):
     # on (-1, 1) the third value used to come from an end mode: 1.0691 for the
-    # plus branch where the default window (-15, 15) gives 0.9562
+    # plus branch where the window (-15, 15) gives 0.9562
     spec = disk.DiskSpec.make(unit_field, 0.2, n=1001)
     wide = disk.zigzag_spectrum(spec, branch, 3).tolist()
     for m_range in ((-1, 1), (-3, 3)):
         assert disk.zigzag_spectrum(dataclasses.replace(spec, m_range=m_range), branch, 3).tolist() == wide
+
+
+@pytest.mark.parametrize("B", (1.0, -1.0, 0.95, lambda r: 1.0 + r**2), ids=("1", "-1", "0.95", "1+r^2"))
+def test_flux_window_keeps_every_value(B):
+    # the default window |m| <= ceil(|Phi| / h) + 2 gives the bits and the
+    # provenance of the window |m| <= ceil(3 R^2 / h) it replaced, on both
+    # zigzags too; an end mode of the default window holding a selected root
+    # means it widened (count 12 at R = 1, h = 0.1: mode 8 of (-7, 7))
+    widened = False
+    for R, h, count in itertools.product((0.5, 1.0), (0.2, 0.1, 0.05), (1, 5, 12)):
+        spec = disk.DiskSpec.make(disk.RadialField(B, R), h, n=1001)
+        m_max = math.ceil(3.0 * R**2 / h)
+        wide = dataclasses.replace(spec, m_range=(-m_max, m_max))
+        sp = disk.dirac_spectrum(spec, count)
+        assert _spectrum_hex(sp) == _spectrum_hex(disk.dirac_spectrum(wide, count))
+        for branch in ("plus", "minus"):
+            assert (disk.zigzag_spectrum(spec, branch, count).tolist()
+                    == disk.zigzag_spectrum(wide, branch, count).tolist())
+        widened |= max(abs(m) for m, _ in sp.pos_provenance + sp.neg_provenance) >= spec.m_range[1]
+    assert widened
+
+
+def test_flux_window_of_a_constant_field(unit_field):
+    # Phi / h = B R^2 / (2 h): 2.5 and 5 at the benchmark's h = 0.2 and 0.1
+    for h, m_max in ((0.2, 5), (0.1, 7), (0.05, 12)):
+        assert disk.DiskSpec.make(unit_field, h).m_range == (-m_max, m_max)
+        assert disk.DiskSpec.make(disk.RadialField(-1.0, 1.0), h).m_range == (-m_max, m_max)
 
 
 def _brute_force_roots(spec, field_sign, count):
@@ -261,13 +288,15 @@ def test_disk_eigensolve_counts(unit_field, monkeypatch):
     spectrum_calls = len(calls)
     # 35 measured while every sign within 64 eps ||Q_lambda||_1 was eigensolved
     assert spectrum_calls <= 6  # 4 measured
-    # 795 measured: 214 screen counts, 525 pivot-tier sign counts, 56 Sturm counts
+    # 729 measured: 148 screen counts (214 on the window (-15, 15)), 525
+    # pivot-tier sign counts, 56 Sturm counts
     assert len(counts) <= 1108
     assert len(sturm) <= 80  # 56 measured, all in-band; 270 while the screens took them
     sturm.clear()
     disk.zigzag_spectrum(spec, "plus", 3)
     disk.zigzag_spectrum(spec, "minus", 3)
-    assert len(calls) - spectrum_calls <= 9  # 6 measured (9 with a doubled-only threshold)
+    # 6 measured, one per selected value (9 with a doubled-only threshold)
+    assert len(calls) - spectrum_calls <= 9
     assert sturm == []  # the zigzag screens count by pivots
 
 
@@ -287,6 +316,34 @@ def test_dirac_spectrum_eigensolves_at_the_benchmark_configuration(unit_field, m
     assert len(calls) <= 60  # 48 measured
     # the screens and the signs outside 64 eps ||Q_lambda||_1 count by pivots
     assert len(sturm) <= 300  # 280 measured, 821 while they took Sturm counts
+
+
+def test_disk_counts_at_the_benchmark_configuration(unit_field, monkeypatch):
+    # one benchmark repetition's disk solves: dirac_spectrum(spec, 5) and both
+    # zigzags of 3 values at h = 0.2 and 0.1, n = 2001.  Counts, not timings,
+    # so the gate cannot flake
+    built, pivots, zigzag_ks, bisected = [], [], [], []
+    real_init, real_pivots = disk._ModeOperator.__init__, disk.pivot_count
+    real_eig, real_bisect = disk.eig_sym_tridiag, disk._bisect_ell
+    monkeypatch.setattr(disk._ModeOperator, "__init__",
+                        lambda op, *a: built.append(1) or real_init(op, *a))
+    monkeypatch.setattr(disk, "pivot_count", lambda *a: pivots.append(1) or real_pivots(*a))
+    monkeypatch.setattr(disk, "eig_sym_tridiag",
+                        lambda t, k, **kw: zigzag_ks.append(k) or real_eig(t, k, **kw))
+    monkeypatch.setattr(disk, "_bisect_ell", lambda *a: bisected.append(1) or real_bisect(*a))
+    for h in (0.2, 0.1):
+        spec = disk.DiskSpec.make(unit_field, h, n=2001)
+        disk.dirac_spectrum(spec, 5)
+        disk.zigzag_spectrum(spec, "plus", 3)
+        disk.zigzag_spectrum(spec, "minus", 3)
+    # the windows (-5, 5) and (-7, 7), once per solver call: 4 * (11 + 15);
+    # 368 from the window |m| <= ceil(3 R^2 / h), (-15, 15) and (-30, 30)
+    assert len(built) <= 104
+    assert len(pivots) <= 530  # 517 measured; 1117 on the wider window
+    # one eigensolve per held zigzag value, the 3 selected per call; 36
+    # values while every held mode gave its first 3
+    assert zigzag_ks == [1] * 12
+    assert len(bisected) == 20  # each selected root, once
 
 
 def test_mode_operator_norm_is_the_matrix_norm(unit_field, monkeypatch):
