@@ -39,8 +39,8 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import (Grid1D, TridiagSym, _norm1, certified_sign, count_below, eig_sym_tridiag,
-                       integrate, pivot_count)
+from .numerics import (Grid1D, TridiagSym, _norm1, certified_lowest, certified_sign, count_below,
+                       eig_sym_tridiag, integrate, pivot_count)
 
 __all__ = [
     "RadialField",
@@ -502,11 +502,18 @@ def zigzag_spectrum(spec: DiskSpec, branch: str, count: int) -> np.ndarray:
     # only modes with a value below a threshold holding ``count`` values can
     # contribute; the screen doubles and bisects that threshold from the
     # branch's floor (the plus form is the minus one, >= 0, plus diag(2 h B)),
-    # and each value a mode holds is eigensolved on its own, from its index,
-    # so no value depends on the screen
+    # and each value a mode holds is solved on its own from the mode and the
+    # floor, so no value depends on the screen
     lo = 2.0 * spec.h * max(float(np.min(bvals)), 0.0) if branch == "plus" else 0.0
-    selected = _lowest(spec, count, build, lambda t, x: pivot_count(t, x, count),
-                       lambda t, j: [eig_sym_tridiag(t, 1, first=k)[0][0] for k in range(j)],
+
+    def values(t: TridiagSym, j: int) -> List[float]:
+        # a mode's first value by inverse iteration from the floor where pivot
+        # counts certify it, every other one eigensolved from its index
+        first = certified_lowest(t, lo)
+        return [first if k == 0 and first is not None else eig_sym_tridiag(t, 1, first=k)[0][0]
+                for k in range(j)]
+
+    selected = _lowest(spec, count, build, lambda t, x: pivot_count(t, x, count), values,
                        lo, lo + spec.h * float(np.max(np.abs(bvals))))
     return np.array([v for v, _, _ in selected])
 

@@ -120,10 +120,13 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     """Fourier-Galerkin spectrum of (D_s + t_h)^2 - kappa^2 / 12.
 
     Momentum modes 2 pi m / L are exactly diagonal; only kappa^2/12 couples
-    them, through its Toeplitz matrix of Fourier coefficients.  The lowest
-    levels sit near the mode centre = round(-t_h L / (2 pi)), as on the disk;
-    the modes |m - centre| <= max(64, 4 count + 16) are kept, and the values
-    are checked against a solve with 8 more on each side.
+    them, through its Toeplitz matrix of Fourier coefficients c_(i-j): a
+    Hermitian band as wide as the highest p with c_p above the FFT's rounding
+    (diagonal for a constant kappa), whose ``count`` lowest values are
+    solved.  The lowest levels sit near the mode centre = round(-t_h L /
+    (2 pi)), as on the disk; the modes |m - centre| <= max(64, 4 count + 16)
+    are kept, and the values are checked against a solve with 8 more on
+    each side.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -132,14 +135,17 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
 
     def solve(cutoff: int) -> np.ndarray:
         modes = centre + np.arange(-cutoff, cutoff + 1)
-        diag = (2.0 * math.pi * modes / spec.L + spec.t_h) ** 2
-        c = _kappa_coefficients(spec, 2 * cutoff)
-        # entry (i, j) couples modes i and j through c_{i-j}, stored at 2 cutoff + i - j
-        mat = np.diag(diag) - scipy.linalg.toeplitz(
-            c[2 * cutoff:], c[2 * cutoff::-1]
-        )
-        vals = np.linalg.eigvalsh(mat)
-        return vals[:count]
+        c = _kappa_coefficients(spec, 2 * cutoff)[2 * cutoff:]  # c_0 .. c_{2 cutoff}
+        # the band ends at the last c_p above eps c_0: the FFT computes each c_p
+        # to about eps log2(N) rms(kappa^2 / 12) >= eps c_0, so the ones below
+        # are its rounding, not the curvature's (none at all for a constant kappa)
+        above = np.flatnonzero(np.abs(c) > np.finfo(float).eps * abs(c[0]))
+        width = int(np.max(above, initial=0))
+        # lower band storage: row p holds the entries (j + p, j) = -c_p
+        band = np.tile(-c[:width + 1, None], modes.size)
+        band[0] += (2.0 * math.pi * modes / spec.L + spec.t_h) ** 2
+        return scipy.linalg.eigvals_banded(band, lower=True, select="i",
+                                           select_range=(0, count - 1))
 
     vals = solve(cutoff)
     ref = solve(cutoff + 8)

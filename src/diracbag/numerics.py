@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
 Symmetric tridiagonal eigensolves, eigenvalue counts (Sturm sequences and
-LDL^T pivots) and the signs they certify, the corner entry of a shifted
-inverse and its derivative from the same pivots, bracketed bisection and
-safeguarded Newton, and composite quadrature.  Everything here is a pure
+LDL^T pivots) and the signs and lowest eigenvalues they certify, the corner
+entry of a shifted inverse and its derivative from the same pivots, bracketed
+bisection and safeguarded Newton, and composite quadrature.  Everything here is a pure
 function of its inputs; callers may fan out over parameter grids freely.
 """
 
@@ -27,6 +27,7 @@ __all__ = [
     "pivot_count",
     "pivot_resolvent",
     "certified_sign",
+    "certified_lowest",
     "bisect",
     "newton",
     "integrate",
@@ -38,6 +39,10 @@ ROOT_TOL = 1e-10
 _SIGN_GUARD = 64.0 * np.finfo(float).eps
 """Signs are first counted from LDL^T pivots at x -/+ this band per unit of
 ||T||_1: pttrf's pivots err from the Sturm count's by a few eps * ||T||_1."""
+
+# inverse iteration steps certified_lowest takes before it gives up: zigzag modes
+# |m| <= 3 took at most 47 (h = 0.25 to 0.05, n = 501 and 2001, four fields)
+_INVERSE_MAX_STEPS = 64
 
 # newton's evaluations before it gives up: theta takes at most 35 (both signs, k = 1..4,
 # xi in [-8, 8], n up to 4001); halving its widest bracket (~400) to 1e-10 would take ~43
@@ -238,6 +243,38 @@ def certified_sign(m: TridiagSym, x: float, k: int, norm: Optional[float] = None
         if below(m, x + band) < k:
             return 1.0
     return float(eig_sym_tridiag(m, k)[0][k - 1] - x)
+
+
+def certified_lowest(m: TridiagSym, lo: float) -> Optional[float]:
+    """The smallest eigenvalue of m by inverse iteration with one factorization
+    m - lo I = L D L^T (LAPACK pttrf/pttrs), for a floor lo below it, or None.
+
+    From the unit vector of ones each step solves (m - lo I) y = x and takes
+    the Rayleigh quotient of y, rho = lo + x.y / y.y (no cancellation while
+    m - lo I is definite), until rho stops falling.  rho is kept only when
+    ``pivot_count`` finds no eigenvalue at rho - ``_SIGN_GUARD`` * ||m||_1 and
+    exactly one at rho + that band; None when the factorization fails (lo is
+    not below the spectrum), the iteration takes ``_INVERSE_MAX_STEPS``, or
+    the counts do not certify rho (e.g. a second eigenvalue within the band)."""
+    lapack = scipy.linalg.lapack
+    d, e, info = lapack.dpttrf(m.diag - lo, m.offdiag)
+    if info != 0:
+        return None
+    x = np.full(m.n, 1.0 / math.sqrt(m.n))
+    rho = math.inf
+    for _ in range(_INVERSE_MAX_STEPS):
+        y = lapack.dpttrs(d, e, x)[0]
+        yy = float(y @ y)
+        step = lo + float(x @ y) / yy
+        if not step < rho:
+            break
+        rho, x = step, y / math.sqrt(yy)
+    else:
+        return None
+    band = _SIGN_GUARD * _norm1(m)
+    if pivot_count(m, rho - band, 1) == 0 and pivot_count(m, rho + band, 2) == 1:
+        return rho
+    return None
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = ROOT_TOL) -> float:

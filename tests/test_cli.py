@@ -380,7 +380,7 @@ GOLDEN = {
         "9fef541085bd69f4f5c097ce821969c69caf73888f3725e01437d8912d152dd5"),
     "disk_report.csv": (
         ["disk", "--h", "0.2", "--n", "501", "--n-a0", "1001", "--zigzag"],
-        "e4ce2850997cbd0116868805330849131b343cc99c3e986d2f6fabfd61a4359d"),
+        "13376394fdc7450e07348a630caac516feb1b8e3e45749b313ff8f9679b1396d"),
     # an unsorted h list with a repeated h, and the oracle row
     "disk_spectrum_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
@@ -389,11 +389,11 @@ GOLDEN = {
     "disk_report_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
          "--oracle", "--neg", "3", "--pos", "2"],
-        "b274729198aca47104f286e711ddcfda73fa521f219177d9d15a4e095001ae69"),
+        "049bb5fde738478485332c5e21d27c88a99edd9043f02e02657cec60cf4f674d"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],
-        "930ff38f3afe0ef97ba08020709100c7691623eca71df672355f57677013f68b"),
+        "cb6a3f87581dd67a70407b09a809ebd90574027df35e2e4f3f08f95c980ad97c"),
     # check writes no file; its PASS/FAIL lines on stdout are the payload
     "check.stdout": (
         ["check"],

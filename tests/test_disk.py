@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diracbag import disk, numerics
+from diracbag import disk, effective, numerics
 from diracbag.numerics import Grid1D
 
 
@@ -145,23 +145,54 @@ def test_zigzag_widens_a_narrow_mode_window(unit_field, branch):
         assert disk.zigzag_spectrum(dataclasses.replace(spec, m_range=m_range), branch, 3).tolist() == wide
 
 
-@pytest.mark.parametrize("B", (1.0, -1.0, 0.95, lambda r: 1.0 + r**2), ids=("1", "-1", "0.95", "1+r^2"))
+FIELDS = (1.0, -1.0, 0.95, lambda r: 1.0 + r**2)
+FIELD_IDS = ("1", "-1", "0.95", "1+r^2")
+
+
+def _prefix(parts, count):
+    return tuple(part[:count] for part in parts)
+
+
+@pytest.mark.parametrize("B", FIELDS, ids=FIELD_IDS)
+def test_values_do_not_depend_on_the_count(B):
+    # each (m, k) value is solved from its mode alone (count-free brackets for
+    # the roots, the branch's floor and the index for the zigzags), so the
+    # values and the provenance at count c are the first c of count 12; the
+    # flux window test compares its counts with one count-12 solve on this premise
+    for R, h in itertools.product((0.5, 1.0), (0.2, 0.1)):
+        spec = disk.DiskSpec.make(disk.RadialField(B, R), h, n=501)
+        full = _spectrum_hex(disk.dirac_spectrum(spec, 12))
+        zigzags = {branch: disk.zigzag_spectrum(spec, branch, 12).tolist()
+                   for branch in ("plus", "minus")}
+        for count in (1, 2, 5, 8):
+            assert _spectrum_hex(disk.dirac_spectrum(spec, count)) == _prefix(full, count)
+            for branch, values in zigzags.items():
+                assert disk.zigzag_spectrum(spec, branch, count).tolist() == values[:count]
+
+
+@pytest.mark.parametrize("B", FIELDS, ids=FIELD_IDS)
 def test_flux_window_keeps_every_value(B):
     # the default window |m| <= ceil(|Phi| / h) + 2 gives the bits and the
     # provenance of the window |m| <= ceil(3 R^2 / h) it replaced, on both
-    # zigzags too; an end mode of the default window holding a selected root
-    # means it widened (count 12 at R = 1, h = 0.1: mode 8 of (-7, 7))
+    # zigzags too, at counts 1, 5 and 12; the wide window is solved once, at
+    # count 12, whose first values are those of every smaller count (above).
+    # An end mode of the default window holding a selected root means it
+    # widened (count 12 at R = 1, h = 0.1: mode 8 of (-7, 7))
     widened = False
-    for R, h, count in itertools.product((0.5, 1.0), (0.2, 0.1, 0.05), (1, 5, 12)):
+    for R, h in itertools.product((0.5, 1.0), (0.2, 0.1, 0.05)):
         spec = disk.DiskSpec.make(disk.RadialField(B, R), h, n=1001)
         m_max = math.ceil(3.0 * R**2 / h)
         wide = dataclasses.replace(spec, m_range=(-m_max, m_max))
-        sp = disk.dirac_spectrum(spec, count)
-        assert _spectrum_hex(sp) == _spectrum_hex(disk.dirac_spectrum(wide, count))
-        for branch in ("plus", "minus"):
-            assert (disk.zigzag_spectrum(spec, branch, count).tolist()
-                    == disk.zigzag_spectrum(wide, branch, count).tolist())
-        widened |= max(abs(m) for m, _ in sp.pos_provenance + sp.neg_provenance) >= spec.m_range[1]
+        full = _spectrum_hex(disk.dirac_spectrum(wide, 12))
+        zigzags = {branch: disk.zigzag_spectrum(wide, branch, 12).tolist()
+                   for branch in ("plus", "minus")}
+        for count in (1, 5, 12):
+            sp = disk.dirac_spectrum(spec, count)
+            assert _spectrum_hex(sp) == _prefix(full, count)
+            for branch, values in zigzags.items():
+                assert disk.zigzag_spectrum(spec, branch, count).tolist() == values[:count]
+            widened |= max(abs(m) for m, _ in sp.pos_provenance + sp.neg_provenance) \
+                >= spec.m_range[1]
     assert widened
 
 
@@ -319,31 +350,45 @@ def test_dirac_spectrum_eigensolves_at_the_benchmark_configuration(unit_field, m
 
 
 def test_disk_counts_at_the_benchmark_configuration(unit_field, monkeypatch):
-    # one benchmark repetition's disk solves: dirac_spectrum(spec, 5) and both
-    # zigzags of 3 values at h = 0.2 and 0.1, n = 2001.  Counts, not timings,
-    # so the gate cannot flake
-    built, pivots, zigzag_ks, bisected = [], [], [], []
+    # one benchmark repetition's disk solves: dirac_spectrum(spec, 5), both
+    # zigzags of 3 values and the Galerkin operator of 5 at h = 0.2 and 0.1,
+    # n = 2001.  Counts, not timings, so the gate cannot flake
+    built, pivots, zigzag_ks, bisected, certified, dense, bands = [], [], [], [], [], [], []
     real_init, real_pivots = disk._ModeOperator.__init__, disk.pivot_count
     real_eig, real_bisect = disk.eig_sym_tridiag, disk._bisect_ell
+    real_lowest, real_dense, real_band = (disk.certified_lowest, np.linalg.eigvalsh,
+                                          scipy.linalg.eigvals_banded)
     monkeypatch.setattr(disk._ModeOperator, "__init__",
                         lambda op, *a: built.append(1) or real_init(op, *a))
     monkeypatch.setattr(disk, "pivot_count", lambda *a: pivots.append(1) or real_pivots(*a))
     monkeypatch.setattr(disk, "eig_sym_tridiag",
                         lambda t, k, **kw: zigzag_ks.append(k) or real_eig(t, k, **kw))
     monkeypatch.setattr(disk, "_bisect_ell", lambda *a: bisected.append(1) or real_bisect(*a))
+    monkeypatch.setattr(disk, "certified_lowest", lambda t, lo: certified.append(
+        real_lowest(t, lo)) or certified[-1])
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **kw: dense.append(1) or real_dense(*a, **kw))
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda band, **kw: bands.append(
+        band.shape) or real_band(band, **kw))
     for h in (0.2, 0.1):
         spec = disk.DiskSpec.make(unit_field, h, n=2001)
         disk.dirac_spectrum(spec, 5)
         disk.zigzag_spectrum(spec, "plus", 3)
         disk.zigzag_spectrum(spec, "minus", 3)
+        effective.qeff_general(effective.EffSpec.disk(1.0, h, 1.3132547), 5)
     # the windows (-5, 5) and (-7, 7), once per solver call: 4 * (11 + 15);
     # 368 from the window |m| <= ceil(3 R^2 / h), (-15, 15) and (-30, 30)
     assert len(built) <= 104
     assert len(pivots) <= 530  # 517 measured; 1117 on the wider window
-    # one eigensolve per held zigzag value, the 3 selected per call; 36
-    # values while every held mode gave its first 3
-    assert zigzag_ks == [1] * 12
+    # each selected zigzag value is the first of its mode, certified from the
+    # branch's floor: no eigensolve (one per value, 12, while each held value
+    # was eigensolved from its index; 36 while every held mode gave 3)
+    assert zigzag_ks == []
+    assert len(certified) == 12 and None not in certified
     assert len(bisected) == 20  # each selected root, once
+    # a constant kappa makes the Galerkin matrices (129 and 145 rows) diagonal:
+    # 4 one-row band solves, no dense eigensolve
+    assert dense == [] and bands == [(1, 129), (1, 145)] * 2
 
 
 def test_mode_operator_norm_is_the_matrix_norm(unit_field, monkeypatch):
@@ -538,6 +583,28 @@ def test_zigzag_variable_field():
         vals = disk.zigzag_spectrum(disk.DiskSpec.make(field, h, n=2001), branch, 3)
         assert np.all(vals >= (2 * h if branch == "plus" else 0.0))  # min B = 1
         assert np.all(np.abs(vals / before - 1) <= 1e-5)  # 3.6e-6 measured
+
+
+@pytest.mark.parametrize("B", FIELDS, ids=FIELD_IDS)
+def test_zigzag_first_values_match_the_eigensolve(B, monkeypatch):
+    # each held mode's first value, by certified inverse iteration from the
+    # branch's floor, lies within 2e-10 of the stebz value it replaced; the
+    # reference takes every value from stebz (certified_lowest refused).  For
+    # B = -1 the minus floor 0 sits below the Landau-shifted values, so its
+    # iterations are the longest (26 solves, under the cap of 64)
+    firsts, real = [], disk.certified_lowest
+    worst = 0.0
+    for h, n in itertools.product((0.25, 0.2, 0.1, 0.05), (501, 2001)):
+        spec = disk.DiskSpec.make(disk.RadialField(B, 1.0), h, n=n)
+        for branch in ("plus", "minus"):
+            monkeypatch.setattr(disk, "certified_lowest", lambda t, lo: firsts.append(
+                real(t, lo)) or firsts[-1])
+            got = disk.zigzag_spectrum(spec, branch, 3)
+            monkeypatch.setattr(disk, "certified_lowest", lambda t, lo: None)
+            want = disk.zigzag_spectrum(spec, branch, 3)
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 2e-10  # 8.7e-11 measured (6.4e-11 for B = -1)
+    assert len(firsts) >= 48 and None not in firsts  # every first value certified
 
 
 def test_oracle_against_minmax_roots(unit_field):

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracbag import effective
 from diracbag.dispersion import A0Result
@@ -93,10 +95,12 @@ def test_qeff_general_variable_kappa_against_fd():
 
     spec = effective.EffSpec(L=L, t_h=t_h, kappa=kappa(L * np.arange(4096) / 4096))
     got = effective.qeff_general(spec, 4)
-    # the values the Galerkin solver gave when it sampled the callable itself
+    # the band solve's values; the dense solve gave 0x1.7db90d612d837p-5,
+    # 0x1.3ef0295b77447p-2, 0x1.ca2553ad174fcp+0, 0x1.48e71f6a1c62fp+1 (|delta|
+    # at most 4.1e-13)
     assert [v.hex() for v in got.values.tolist()] == [
-        "0x1.7db90d612d837p-5", "0x1.3ef0295b77447p-2", "0x1.ca2553ad174fcp+0",
-        "0x1.48e71f6a1c62fp+1"]
+        "0x1.7db90d61303dbp-5", "0x1.3ef0295b77333p-2", "0x1.ca2553ad1795ap+0",
+        "0x1.48e71f6a1c9c9p+1"]
 
     n = 8192
     s = L * np.arange(n) / n
@@ -114,6 +118,44 @@ def test_qeff_general_variable_kappa_against_fd():
     )
     vals = np.sort(vals.real)
     assert np.max(np.abs(got.values - vals)) < 1e-6
+
+
+def _dense_values(spec, count):
+    # the dense Toeplitz solve the band solve replaced: every mode of the
+    # window coupled through c_(i-j), all eigenvalues, the lowest count kept
+    cutoff = effective._cutoff(count)
+    modes = round(-spec.t_h * spec.L / (2 * math.pi)) + np.arange(-cutoff, cutoff + 1)
+    c = effective._kappa_coefficients(spec, 2 * cutoff)
+    mat = np.diag((2 * math.pi * modes / spec.L + spec.t_h) ** 2) - scipy.linalg.toeplitz(
+        c[2 * cutoff:], c[2 * cutoff::-1])
+    return np.linalg.eigvalsh(mat)[:count]
+
+
+def test_qeff_general_constant_kappa_keeps_the_dense_bits():
+    # a constant kappa leaves the diagonal alone: the band has one row and
+    # its values are the dense solve's, bit for bit
+    for R, h, count in itertools.product((0.5, 1.0, 2.0), (0.2, 0.1, 0.05, 0.02), (1, 3, 5)):
+        spec = effective.EffSpec.disk(R, h, 1.3132547)
+        got = effective.qeff_general(spec, count).values
+        assert got.tobytes() == _dense_values(spec, count).tobytes()
+
+
+@pytest.mark.parametrize("profile", ["cosine", "complex"])
+def test_qeff_general_band_matches_the_dense_solve(profile):
+    # real coefficients (an even profile) and complex ones (the sine term of
+    # test_qeff_general_variable_kappa_against_fd), from 256 and 4096 samples.
+    # Both solves err by about eps ||A|| ~ 9e-13, the outer modes' (2 pi 64 / L)^2
+    # setting ||A||: 8.2e-13 measured (cosine, 256 samples, t_h = 0)
+    worst = 0.0
+    for samples, t_h, count in itertools.product((256, 4096), (0.0, 0.37, 5.2), (1, 4, 8)):
+        s = 2 * math.pi * np.arange(samples) / samples
+        kappa = 1.0 + 0.3 * np.cos(s) + (0.1 * np.sin(2 * s) if profile == "complex" else 0.0)
+        spec = effective.EffSpec(L=2 * math.pi, t_h=t_h, kappa=kappa)
+        got = effective.qeff_general(spec, count).values
+        want = _dense_values(spec, count)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    assert worst <= 1e-12
 
 
 def test_qeff_boundedness_over_flux():

@@ -11,6 +11,7 @@ from diracbag.numerics import (
     Grid1D,
     TridiagSym,
     bisect,
+    certified_lowest,
     certified_sign,
     count_below,
     eig_sym_tridiag,
@@ -313,6 +314,42 @@ def test_eig_sym_tridiag_is_stebz_at_zero_tolerance():
             mk, w, *_, info = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, 1, k, 0.0, "E")
             assert info == 0 and mk == k
             assert got.tobytes() == w[:k].tobytes()
+
+
+def _two_blocks(s):
+    # [[2, -1], [-1, 2]] and the same block plus s I: eigenvalues 1, 1 + s, 3, 3 + s
+    return TridiagSym(np.array([2.0, 2.0, 2.0 + s, 2.0 + s]), np.array([-1.0, 0.0, -1.0]))
+
+
+def test_certified_lowest_takes_the_lowest_eigenvalue():
+    # a certified value lies within the count band 64 eps ||m||_1 of stebz's,
+    # from a floor far below lambda_1 and from one just below it
+    certified = 0
+    for m in _sign_scan_matrices() + [_two_blocks(1.0)]:
+        lam = float(eig_sym_tridiag(m, 1)[0][0])
+        band = 64.0 * np.finfo(float).eps * numerics._norm1(m)
+        for lo in (lam - 1.0, lam - 1e-3 * max(1.0, abs(lam))):
+            got = certified_lowest(m, lo)
+            if got is not None:
+                assert abs(got - lam) <= band  # 0.013 band measured
+                certified += 1
+    # all but Q_lambda of the plus (0, 1) root from lambda_1 - 1, where the
+    # error falls by only (1 / 1.225)^2 a step and the cap comes first
+    assert certified == 11
+    assert certified_lowest(_two_blocks(1.0), 0.0) == 1.0
+
+
+def test_certified_lowest_falls_back():
+    # s = 1e-9: rho stops falling after one step, 5e-10 above lambda_1 and far
+    # outside the band 64 eps ||m||_1 = 4.3e-14, so the count at rho - band is
+    # 1; without that count 1 + 5e-10 would be returned
+    assert certified_lowest(_two_blocks(1e-9), 0.0) is None
+    # s = 1e-15: rho is lambda_1 to rounding, but two eigenvalues lie in the band
+    assert certified_lowest(_two_blocks(1e-15), 0.0) is None
+    # s = 1e-3: the error falls by (1 + s)^-2 a step, so the cap comes first
+    assert certified_lowest(_two_blocks(1e-3), 0.0) is None
+    # a floor above lambda_1: m - lo I is indefinite and pttrf fails
+    assert certified_lowest(_two_blocks(1.0), 1.5) is None
 
 
 def test_bisect_sqrt2():
