@@ -24,9 +24,8 @@ oracle.  Interleaved (ghat_0, f_0, ghat_1, f_1, ...), its matrix is
 tridiagonal but for one wall entry, which two elementary similarity steps
 fold into the band; every off-diagonal product is then positive (else it
 raises), so a diagonal similarity makes it symmetric and its spectrum real.  Its
-eigenpairs nearest a shift come from the tridiagonal eigensolver, from the
-shift's Sturm count outward until no eigenvalue outside the window can be
-nearer than those kept.
+eigenpairs nearest a shift are solved by value in windows around it that
+double until enough of them pass the oracle's filters.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import (Grid1D, TridiagSym, _norm1, certified_lowest, certified_sign, count_below,
-                       eig_sym_tridiag, integrate, pivot_count)
+from .numerics import (Grid1D, TridiagSym, _norm1, certified_lowest, certified_sign,
+                       eig_sym_tridiag, eig_sym_window, integrate, pivot_count)
 
 __all__ = [
     "RadialField",
@@ -172,6 +171,16 @@ class DiskSpec:
         mass = nodes * g.step
         mass[-1] = self.field.R * g.step / 2.0 - g.step**2 / 8.0
         return nodes, flux, flux * g.step, mass, self.gauge.dphi_at(flux)
+
+    @cached_property
+    def _hardy(self) -> Tuple[Grid1D, np.ndarray, float, Dict[int, float]]:
+        """The fine grid of the Hardy integrals, their weight e^{-2 phi / h}
+        scaled by its maximum e^{scale} (so it never overflows), that scale,
+        and the quotients integrated so far by mode (``_hardy_ratios``)."""
+        fine = Grid1D(0.0, self.field.R, 8193)
+        logw = -2.0 * self.gauge.phi_at(fine.nodes()) / self.h
+        scale = float(np.max(logw))
+        return fine, np.exp(logw - scale), scale, {}
 
 
 @dataclass
@@ -313,15 +322,13 @@ def _hardy_ratios(spec: DiskSpec, ms: Sequence[int]) -> np.ndarray:
     of the weighted holomorphic modes r^m e^{-phi/h}, one per m >= 0 in ``ms``;
     each bounds E_1^{(m)} on the plus branch from above.  On [0, R] the factor
     (r/R)^{2m+1} falls with m under a positive weight, so the quotients rise
-    with m."""
-    R = spec.field.R
-    fine = Grid1D(0.0, R, 8193)
-    r = fine.nodes()
-    logw = -2.0 * spec.gauge.phi_at(r) / spec.h
-    scale = float(np.max(logw))  # keep the weight <= 1
-    weight = np.exp(logw - scale)
-    return np.array([spec.h * math.exp(-scale) / integrate((r / R) ** (2 * m + 1) * weight, fine)
-                     for m in ms])
+    with m.  Each is integrated once per spec (``DiskSpec._hardy``)."""
+    fine, weight, scale, ratios = spec._hardy
+    for m in ms:
+        if m not in ratios:
+            x = fine.nodes() / spec.field.R
+            ratios[m] = spec.h * math.exp(-scale) / integrate(x ** (2 * m + 1) * weight, fine)
+    return np.array([ratios[m] for m in ms])
 
 
 def _bracket_for(spec: DiskSpec, m: int, field_sign: str, k: int) -> Tuple[float, float]:
@@ -596,22 +603,25 @@ def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) 
     order (ghat_0, f_0, ghat_1, f_1, ...) the matrix is tridiagonal but for
     one wall entry; two elementary similarity steps fold that entry into the
     band and a diagonal one makes it symmetric (``_symmetric_form``), so the
-    spectrum is real and the package's tridiagonal eigensolver takes it.
+    spectrum is real.
 
     Returns the 2*count eigenvalues closest to the shift ``sigma`` that pass
-    the oscillation and origin filters, ascending.  The eigenpairs are
-    computed from the 2*count indices around sigma's Sturm count outward,
-    one at a time on the side nearer sigma, while fewer than 2*count pass or
-    an eigenvalue outside the window (bounded by its end values) could lie
-    nearer sigma than the 2*count-th one that passed.
+    the oscillation and origin filters, ascending.  The eigenpairs are solved
+    by value (``eig_sym_window``) in (sigma - r, sigma + r], r = sqrt(h)
+    first; while fewer than 2*count pass, r doubles and only the two new
+    annuli are solved, until the window holds the whole spectrum (r >=
+    ||T||_1 + |sigma|).  Every eigenvalue within r has then been examined,
+    so no value outside it can be nearer sigma than those kept.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     r_f, r_g, *bands = _staggered_bands(spec, m)
     t, mu, nu, inv_s = _symmetric_form(m, *bands)
     R = spec.field.R
     r_inner = max(8.0 * (R / spec.rgrid.n), 0.02 * R)
-    want, n, keep = 2 * count, t.n, []
+    keep = []
 
     def passes(lam: float, y: np.ndarray) -> bool:
         x = y * inv_s
@@ -637,26 +647,15 @@ def dirac_radial_direct(spec: DiskSpec, m: int, count: int, sigma: float = 0.0) 
             return False
         return True
 
-    def solve(first: int, k: int) -> np.ndarray:
-        vals, vecs = eig_sym_tridiag(t, k, vectors=True, first=first)
+    def solve(lo: float, hi: float) -> None:
+        vals, vecs = eig_sym_window(t, lo, hi)
         keep.extend(float(lam) for lam, y in zip(vals, vecs.T) if passes(lam, y))
-        return vals
 
-    a = max(0, min(count_below(t, sigma) - count, n - want))
-    b = min(n, a + want)
-    lo, hi = solve(a, b - a)[[0, -1]]
-    while True:
-        near = sorted(abs(v - sigma) for v in keep)
-        worst = near[want - 1] if len(near) >= want else math.inf
-        left = sigma - lo if a > 0 else math.inf
-        right = hi - sigma if b < n else math.inf
-        if min(left, right) >= worst:
-            break
-        if left <= right:
-            a -= 1
-            lo = solve(a, 1)[0]
-        else:
-            b += 1
-            hi = solve(b - 1, 1)[0]
+    r, top = math.sqrt(spec.h), _norm1(t) + abs(sigma)
+    solve(sigma - r, sigma + r)
+    while len(keep) < 2 * count and r < top:
+        solve(sigma - 2.0 * r, sigma - r)
+        solve(sigma + r, sigma + 2.0 * r)
+        r *= 2.0
     keep.sort(key=lambda x: abs(x - sigma))
-    return np.array(sorted(keep[:want]))
+    return np.array(sorted(keep[:2 * count]))

@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
-Symmetric tridiagonal eigensolves, eigenvalue counts (Sturm sequences and
-LDL^T pivots) and the signs and lowest eigenvalues they certify, the corner
-entry of a shifted inverse and its derivative from the same pivots, bracketed
-bisection and safeguarded Newton, and composite quadrature.  Everything here is a pure
-function of its inputs; callers may fan out over parameter grids freely.
+Symmetric tridiagonal eigensolves (by index, or by value window with Rayleigh
+quotients), eigenvalue counts (Sturm sequences and LDL^T pivots) and the signs
+and lowest eigenvalues they certify, the corner entry of a shifted inverse and
+its derivative from the same pivots, bracketed bisection and safeguarded
+Newton, and composite quadrature.  Everything here is a pure function of its
+inputs; callers may fan out over parameter grids freely.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "EigenConvergenceError",
     "BracketError",
     "eig_sym_tridiag",
+    "eig_sym_window",
     "count_below",
     "pivot_count",
     "pivot_resolvent",
@@ -39,6 +41,11 @@ ROOT_TOL = 1e-10
 _SIGN_GUARD = 64.0 * np.finfo(float).eps
 """Signs are first counted from LDL^T pivots at x -/+ this band per unit of
 ||T||_1: pttrf's pivots err from the Sturm count's by a few eps * ||T||_1."""
+
+# eig_sym_window's stebz tolerance per unit of |lo| + |hi|, and the gap, in
+# tolerances, below which values share one Rayleigh-Ritz step
+_WINDOW_TOL = 1e-6
+_RITZ_RUN = 1e3
 
 # inverse iteration steps certified_lowest takes before it gives up: zigzag modes
 # |m| <= 3 took at most 47 (h = 0.25 to 0.05, n = 501 and 2001, four fields)
@@ -158,6 +165,42 @@ def eig_sym_tridiag(
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigenConvergenceError(m.n, str(exc)) from exc
     return np.asarray(vals, dtype=float), vecs
+
+
+def eig_sym_window(m: TridiagSym, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a symmetric tridiagonal matrix with values in (lo, hi],
+    ascending: (values, unit vectors as columns), both empty for an empty window.
+
+    LAPACK stebz bisects the values only to ``_WINDOW_TOL`` * (|lo| + |hi|)
+    and stein finds their vectors by inverse iteration; each value returned is
+    its vector's Rayleigh quotient y^T m y, whose error is quadratic in the
+    vector's.  Inverse iteration from so coarse a shift leaves the vectors of
+    values fewer than ``_RITZ_RUN`` tolerances apart mixed, so each such run
+    is first rotated onto its Ritz vectors (one Rayleigh-Ritz step)."""
+    if not lo < hi:
+        return np.empty(0), np.empty((m.n, 0))
+    if m.n == 1:
+        inside = lo < m.diag[0] <= hi
+        return m.diag[:int(inside)].copy(), np.ones((1, int(inside)))
+    lapack = scipy.linalg.lapack
+    tol = _WINDOW_TOL * (abs(lo) + abs(hi))
+    found, w, iblock, isplit, info = lapack.dstebz(m.diag, m.offdiag, 1, lo, hi, 0, 0, tol, "B")
+    if info == 0 and found:
+        z, info = lapack.dstein(m.diag, m.offdiag, w[:found], iblock, isplit)
+    if info != 0:
+        raise EigenConvergenceError(m.n, f"stebz/stein info={info} on ({lo}, {hi}]")
+    if not found:
+        return np.empty(0), np.empty((m.n, 0))
+    order = np.argsort(w[:found])
+    w, z = w[order], z[:, order]
+    tz = m.diag[:, None] * z
+    tz[:-1] += m.offdiag[:, None] * z[1:]
+    tz[1:] += m.offdiag[:, None] * z[:-1]
+    vals = np.empty(found)
+    for run in np.split(np.arange(found), np.nonzero(np.diff(w) > _RITZ_RUN * tol)[0] + 1):
+        vals[run], rot = np.linalg.eigh(z[:, run].T @ tz[:, run])
+        z[:, run] = z[:, run] @ rot
+    return vals, z
 
 
 def count_below(m: TridiagSym, x: float) -> int:

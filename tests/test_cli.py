@@ -386,10 +386,12 @@ GOLDEN = {
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
          "--oracle", "--neg", "3", "--pos", "2"],
         "6f3f46fa8d0aa3909ea6d26a9c0874871d4a1a9ec2db6b1f00bb61a90fd52914"),
+    # re-pinned when the oracle's values became Rayleigh quotients of its
+    # windowed eigenpairs: its column moved by 1.1e-14 at most (h = 0.25)
     "disk_report_oracle.csv": (
         ["disk", "--h", "0.2,0.25,0.2", "--n", "501", "--n-a0", "1001", "--zigzag",
          "--oracle", "--neg", "3", "--pos", "2"],
-        "049bb5fde738478485332c5e21d27c88a99edd9043f02e02657cec60cf4f674d"),
+        "d593019125e6d789d7f275974f194e1962cf2beed533999dc0afc693f7984ea0"),
     "effective_kappa.csv": (
         ["effective", "--kappa", "kappa.csv", "--R", "1", "--h", "0.1",
          "--count", "3", "--n-a0", "1001"],

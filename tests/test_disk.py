@@ -509,6 +509,24 @@ def test_hardy_quotients_rise_with_the_mode():
                     [v.hex() for v in old.tolist()]
 
 
+def test_hardy_quotients_are_integrated_once_per_spec(unit_field, monkeypatch):
+    # on the benchmark specs the spectrum's brackets leave their quotients on
+    # the spec: hardy_nu_k then integrates only mode 4 at h = 0.2 and nothing
+    # at h = 0.1 (5 + 5 while each call integrated its own), bit for bit the
+    # values of a fresh spec
+    integrals, real = [], disk.integrate
+    monkeypatch.setattr(disk, "integrate", lambda *a: integrals.append(1) or real(*a))
+    fresh = {h: disk.hardy_nu_k(disk.DiskSpec.make(unit_field, h, n=2001), 5) for h in (0.2, 0.1)}
+    assert len(integrals) == 10
+    for h, new in ((0.2, 1), (0.1, 0)):
+        spec = disk.DiskSpec.make(unit_field, h, n=2001)
+        disk.dirac_spectrum(spec, 5)
+        integrals.clear()
+        got = disk.hardy_nu_k(spec, 5)
+        assert len(integrals) == new
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in fresh[h].tolist()]
+
+
 def test_bisect_errors_name_the_mode(unit_field, monkeypatch):
     spec = disk.DiskSpec.make(unit_field, 0.2, n=501)
     for sign, side in ((1.0, "negative upper"), (-1.0, "positive lower")):
@@ -678,40 +696,83 @@ def test_oracle_bands_match_the_stencil_loop():
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))  # 1.3e-14 measured
 
 
+def _symmetric_oracle(spec, m):
+    return disk._symmetric_form(m, *disk._staggered_bands(spec, m)[2:])[0]
+
+
 def test_oracle_window_holds_the_nearest_eigenvalues():
     # where the filters drop nothing, the grown window returns the 2 count
     # eigenvalues of the whole spectrum nearest sigma
+    small = [(disk.DiskSpec.make(disk.RadialField(1.0, 1.0), h, n=201), m, count, sigma)
+             for h, m, count, sigma in itertools.product((0.2, 0.1), (-3, 0, 2), (1, 2, 3),
+                                                         (0.0, -0.5, 0.7))]
+    bench = []
+    for b0, h in itertools.product((0.95, 1.0, 1.05), (0.2, 0.1)):
+        # the benchmark's oracle call (as `disk --oracle`): count 1 in the
+        # conjugate mode of the first negative value, at sigma = that value
+        spec = disk.DiskSpec.make(disk.RadialField(b0, 1.0), h, n=2001)
+        sp = disk.dirac_spectrum(spec, 5)
+        bench.append((spec, -(sp.neg_provenance[0][0] + 1), 1, -sp.neg[0]))
     checked = 0
-    for h, m, count, sigma in itertools.product((0.2, 0.1), (-3, 0, 2), (1, 2, 3),
-                                                (0.0, -0.5, 0.7)):
-        spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), h, n=201)
+    for spec, m, count, sigma in small + bench:
         with warnings.catch_warnings(record=True) as filtered:
             warnings.simplefilter("always")
             got = disk.dirac_radial_direct(spec, m, count, sigma=sigma)
         if filtered:
             continue
-        t = disk._symmetric_form(m, *disk._staggered_bands(spec, m)[2:])[0]
+        t = _symmetric_oracle(spec, m)
         every = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
         nearest = np.sort(every[np.argsort(np.abs(every - sigma))[:2 * count]])
         assert np.max(np.abs(got - nearest)) < 1e-12
         checked += 1
-    assert checked >= 30  # 37 of the 54
+    assert checked >= 40  # 38 of the 54 small calls (37 by index) and the 6 benchmark ones
+
+
+def test_oracle_returns_every_passing_value_when_count_exceeds_them():
+    # with more values asked for than pass the filters, the window grows to
+    # the whole spectrum and stops: each eigenvalue is examined once, and
+    # those not filtered out are all returned
+    spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), 0.2, n=201)
+    for m, sigma in ((-3, 0.0), (2, -0.5)):
+        t = _symmetric_oracle(spec, m)
+        with warnings.catch_warnings(record=True) as filtered:
+            warnings.simplefilter("always")
+            got = disk.dirac_radial_direct(spec, m, t.n, sigma=sigma)
+        every = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
+        assert filtered and got.size + len(filtered) == t.n
+        near = np.abs(got[:, None] - every[None, :]).argmin(axis=1)
+        assert np.unique(near).size == got.size
+        assert np.max(np.abs(got - every[near])) < 1e-12 * max(1.0, np.max(np.abs(every)))
+
+
+@pytest.mark.parametrize("sigma", (math.nan, math.inf, -math.inf))
+def test_oracle_refuses_a_non_finite_shift(unit_field, sigma):
+    spec = disk.DiskSpec.make(unit_field, 0.2, n=201)
+    with pytest.raises(ValueError, match="sigma"):
+        disk.dirac_radial_direct(spec, 0, 1, sigma=sigma)
 
 
 @pytest.mark.parametrize("h", (0.2, 0.1))
 def test_oracle_eigenpair_count(disk_runs, monkeypatch, h):
-    # the benchmark's oracle call (as `disk --oracle`) takes 3 eigenpairs:
-    # the 2 around sigma and one more on the nearer side
+    # the benchmark's oracle call (as `disk --oracle`) bisects exactly its 2
+    # eigenvalues: in one window (sigma - sqrt h, sigma + sqrt h] at h = 0.1,
+    # and after one doubling at h = 0.2, with no Sturm count and no eigensolve
+    # by index (one count and 3 eigenpairs by index while it searched by index)
     spec, sp = disk_runs[h]["spec"], disk_runs[h]["spectrum"]
-    pairs, real = [], disk.eig_sym_tridiag
+    found, counts, by_index = [], [], []
+    real_window, real_count, real_eig = disk.eig_sym_window, numerics.count_below, disk.eig_sym_tridiag
+    monkeypatch.setattr(disk, "eig_sym_window", lambda t, lo, hi: (
+        lambda out: found.append(out[0].size) or out)(real_window(t, lo, hi)))
+    monkeypatch.setattr(numerics, "count_below", lambda *a: counts.append(1) or real_count(*a))
+    monkeypatch.setattr(disk, "count_below", numerics.count_below, raising=False)
     monkeypatch.setattr(disk, "eig_sym_tridiag",
-                        lambda t, k, **kw: pairs.append(k) or real(t, k, **kw))
+                        lambda *a, **kw: by_index.append(1) or real_eig(*a, **kw))
     m, _ = sp.neg_provenance[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         direct = disk.dirac_radial_direct(spec, -(m + 1), 1, sigma=-sp.neg[0])
     assert abs(direct[direct < 0][-1] + sp.neg[0]) / sp.neg[0] < 1e-6
-    assert sum(pairs) <= 4
+    assert found == {0.2: [1, 1, 0], 0.1: [2]}[h] and counts == [] and by_index == []
 
 
 def test_oracle_mode_conjugation(unit_field):

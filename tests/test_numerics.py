@@ -15,6 +15,7 @@ from diracbag.numerics import (
     certified_sign,
     count_below,
     eig_sym_tridiag,
+    eig_sym_window,
     integrate,
     newton,
     pivot_count,
@@ -314,6 +315,74 @@ def test_eig_sym_tridiag_is_stebz_at_zero_tolerance():
             mk, w, *_, info = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, 1, k, 0.0, "E")
             assert info == 0 and mk == k
             assert got.tobytes() == w[:k].tobytes()
+
+
+def _window_matrices():
+    # the two random sign-scan matrices and the staggered oracle's symmetric
+    # forms; on the graded one and Q_lambda the small eigenvalues carry
+    # eps ||m||_1 absolute errors in any solver, far above 1e-12 |lambda|
+    forms = []
+    for h, mode in ((0.2, -3), (0.1, 0)):
+        spec = disk.DiskSpec.make(disk.RadialField(1.0, 1.0), h, 201)
+        forms.append(disk._symmetric_form(mode, *disk._staggered_bands(spec, mode)[2:])[0])
+    return _sign_scan_matrices()[:2] + forms
+
+
+def _check_window(m, want, vals, vecs):
+    # the values match want, and each is the Rayleigh quotient of its unit vector
+    tol = 1e-12 * np.maximum(1.0, np.abs(want))
+    assert vals.shape == want.shape and vecs.shape == (m.n, want.size)
+    assert np.all(np.abs(vals - want) <= tol)
+    mv = m.diag[:, None] * vecs
+    mv[:-1] += m.offdiag[:, None] * vecs[1:]
+    mv[1:] += m.offdiag[:, None] * vecs[:-1]
+    assert np.all(np.abs(np.linalg.norm(vecs, axis=0) - 1.0) < 1e-12)
+    assert np.all(np.abs(np.einsum("ij,ij->j", vecs, mv) - vals) <= tol)
+
+
+def test_eig_sym_window_partitions_the_spectrum():
+    # windows cut at spectrum quantiles, two of them exactly at an eigenvalue,
+    # return every eigenvalue once: together the whole spectrum, in order
+    for m in _window_matrices():
+        every = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+        span = every[-1] - every[0]
+        inner = [every[m.n // 7], every[m.n // 3]] + [every[0] + f * span for f in (0.4, 0.9)]
+        edges = [every[0] - 1.0] + sorted(inner) + [every[-1] + 1.0]
+        got = [eig_sym_window(m, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        _check_window(m, every, np.concatenate([v for v, _ in got]),
+                      np.hstack([y for _, y in got]))
+        for (lo, hi), (vals, _) in zip(zip(edges[:-1], edges[1:]), got):
+            assert np.all(vals >= lo - 1e-12 * max(1.0, abs(lo)))
+            assert np.all(vals <= hi + 1e-12 * max(1.0, abs(hi)))
+
+
+def test_eig_sym_window_empty_windows():
+    m = TridiagSym(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]))  # 2 -/+ sqrt 2, 2
+    for lo, hi in ((2.1, 3.0), (2.0, 2.0), (3.0, 1.0), (10.0, 20.0)):
+        vals, vecs = eig_sym_window(m, lo, hi)
+        assert vals.shape == (0,) and vecs.shape == (3, 0)
+    assert eig_sym_window(m, 1.9, 2.1)[0].size == 1
+    one = TridiagSym(np.array([5.0]), np.array([]))
+    assert eig_sym_window(one, 4.0, 5.0)[0].tolist() == [5.0]
+    assert eig_sym_window(one, 5.0, 6.0)[1].shape == (1, 0)
+
+
+def test_eig_sym_window_resolves_a_near_degenerate_pair():
+    # a random block and its mirror image, coupled by c: its eigenvalues come
+    # in pairs split by up to ~c^2, inside stebz's coarse stopping width, so
+    # inverse iteration leaves each pair's vectors mixed; the Rayleigh-Ritz
+    # step resolves them
+    rng = np.random.default_rng(3)
+    d, e = rng.normal(size=50), rng.uniform(0.5, 1.0, 49)
+    for c in (1e-2, 1e-4, 1e-8):
+        m = TridiagSym(np.concatenate([d, d[::-1]]), np.concatenate([e, [c], e[::-1]]))
+        every = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+        lo, hi = every[58] - 0.3, every[58] + 0.3
+        vals, vecs = eig_sym_window(m, lo, hi)
+        _check_window(m, every[(every > lo) & (every <= hi)], vals, vecs)
+        gaps = np.diff(vals)
+        assert np.min(gaps) < numerics._WINDOW_TOL * (abs(lo) + abs(hi))
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(vals.size))) < 1e-10
 
 
 def _two_blocks(s):
