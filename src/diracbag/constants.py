@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 __all__ = ["BargmannWeight", "BoundaryCurve", "CkResult", "bargmann_distance",
            "hardy_distance", "ck_constant", "lambda_plus_prediction"]
@@ -85,7 +86,7 @@ def bargmann_distance(k: int, w: BargmannWeight) -> float:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"need 1 <= k <= {MAX_K}, got {k}")
     d, axes = np.linalg.eigh(w.hess)
-    x, wx = np.polynomial.hermite.hermgauss(k)
+    x, wx = hermgauss(k)
     v = np.meshgrid(x / math.sqrt(d[0]), x / math.sqrt(d[1]), indexing="ij")
     y = np.tensordot(axes, v, axes=1)  # back from the eigen-axes
     weights = np.outer(wx, wx).ravel() / math.sqrt(d[0] * d[1])

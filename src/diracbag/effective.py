@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
-import scipy.linalg
+from numpy.fft import fft
 
 from .dispersion import A0Result
+from .numerics import _lapack
 
 __all__ = [
     "EffSpec",
@@ -104,7 +105,7 @@ def qeff_disk(t_h: float, R: float, count: int) -> EffSpectrum:
 def _kappa_coefficients(spec: EffSpec, n_modes: int) -> np.ndarray:
     """Fourier coefficients c_p of kappa^2 / 12 for |p| <= n_modes."""
     vals = np.atleast_1d(np.asarray(spec.kappa, dtype=float))
-    spectrum = np.fft.fft(vals**2 / 12.0) / vals.size
+    spectrum = fft(vals**2 / 12.0) / vals.size
     # N samples interpolate with frequencies |p| <= N/2 only; aliases of the
     # sampled spectrum above that are not the curvature's
     p = np.arange(-n_modes, n_modes + 1)
@@ -144,8 +145,14 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
         # lower band storage: row p holds the entries (j + p, j) = -c_p
         band = np.tile(-c[:width + 1, None], modes.size)
         band[0] += (2.0 * math.pi * modes / spec.L + spec.t_h) ** 2
-        return scipy.linalg.eigvals_banded(band, lower=True, select="i",
-                                           select_range=(0, count - 1))
+        # LAPACK zhbevx by index with scipy eigvals_banded's arguments, its
+        # tolerance twice the safe minimum (the band is complex: the FFT's)
+        vals, _, found, _, info = _lapack.zhbevx(
+            band, 0.0, 1.0, 1, count, compute_v=0, mmax=1, range=2, lower=1, overwrite_ab=1,
+            abstol=2.0 * _lapack.dlamch("s"))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zhbevx info={info}")
+        return vals[:found]
 
     vals = solve(cutoff)
     ref = solve(cutoff + 8)

@@ -4,18 +4,23 @@ Symmetric tridiagonal eigensolves (by index, or by value window with Rayleigh
 quotients), eigenvalue counts (Sturm sequences and LDL^T pivots) and the signs
 and lowest eigenvalues they certify, the corner entry of a shifted inverse and
 its derivative from the same pivots, bracketed bisection and safeguarded
-Newton, and composite quadrature.  Everything here is a pure function of its
-inputs; callers may fan out over parameter grids freely.
+Newton, and composite quadrature.  The LAPACK routines come from scipy's
+extension module, loaded without the ``scipy.linalg`` package.  Everything
+here is a pure function of its inputs; callers may fan out over parameter
+grids freely.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Grid1D",
@@ -54,6 +59,36 @@ _INVERSE_MAX_STEPS = 64
 # newton's evaluations before it gives up: theta takes at most 35 (both signs, k = 1..4,
 # xi in [-8, 8], n up to 4001); halving its widest bracket (~400) to 1e-10 would take ~43
 _NEWTON_MAX_EVALS = 100
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, ``scipy.linalg._flapack``, without the
+    ``scipy.linalg`` package: importing that package also clones numpy for its
+    array API layer (numpy.f2py, numpy.testing, numpy.ma, numpy.random), about
+    0.15 s of every process's start-up, while this module needs only the
+    LAPACK routines.  It is the module scipy itself uses: one already imported
+    is reused, and one loaded here is registered under the same name, so a later
+    ``import scipy.linalg`` reuses it.  Without the extension file in scipy's
+    directory (another layout), it is imported through the package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # a top-level spec imports nothing
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _load_flapack()
 
 
 class EigenConvergenceError(RuntimeError):
@@ -131,6 +166,26 @@ class Bracket:
             )
 
 
+def _stebz(m: TridiagSym, select: int, lo: float, hi: float, il: int, iu: int, tol: float,
+           vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """LAPACK stebz's eigenvalues of m (select 1: in (lo, hi]; 2: indices il..iu,
+    counted from 1), ascending, and with ``vectors`` stein's unit eigenvectors
+    as columns (else None): the calls scipy's ``eigh_tridiagonal`` makes, whose
+    block-ordered values are sorted after stein."""
+    found, w, iblock, isplit, info = _lapack.dstebz(m.diag, m.offdiag, select, lo, hi, il, iu,
+                                                    tol, "B" if vectors else "E")
+    z = np.empty((m.n, 0))
+    if vectors and found and info == 0:
+        z, info = _lapack.dstein(m.diag, m.offdiag, w[:found], iblock, isplit)
+    if info != 0:
+        where = f"({lo}, {hi}]" if select == 1 else f"indices {il}..{iu}"
+        raise EigenConvergenceError(m.n, f"stebz/stein info={info} on {where}")
+    if not vectors:
+        return w[:found], None
+    order = np.argsort(w[:found])
+    return w[order], z[:, order]
+
+
 def eig_sym_tridiag(
     m: TridiagSym,
     k: int,
@@ -140,31 +195,19 @@ def eig_sym_tridiag(
     """The k eigenvalues (ascending) of a symmetric tridiagonal matrix from
     index ``first`` on (0: the smallest).
 
-    Values are computed by Sturm-sequence bisection and, when requested,
-    eigenvectors by inverse iteration (LAPACK stebz/stein via scipy), with
-    unit Euclidean norm.
+    Values are computed by Sturm-sequence bisection (LAPACK stebz, tolerance
+    0) and, when requested, eigenvectors by inverse iteration (LAPACK stein),
+    with unit Euclidean norm; a LAPACK failure (non-finite entries among its
+    causes) raises EigenConvergenceError.
 
     Returns (values, vectors_or_None); vectors are columns.
     """
     if k < 1 or first < 0 or first + k > m.n:
         raise ValueError(f"need 1 <= k, 0 <= first and first + k <= n, "
                          f"got k={k}, first={first}, n={m.n}")
-    try:
-        if m.n == 1:
-            vals = np.array([m.diag[0]])
-            vecs = np.array([[1.0]]) if vectors else None
-        else:
-            out = scipy.linalg.eigh_tridiagonal(
-                m.diag,
-                m.offdiag,
-                eigvals_only=not vectors,
-                select="i",
-                select_range=(first, first + k - 1),
-            )
-            vals, vecs = out if vectors else (out, None)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigenConvergenceError(m.n, str(exc)) from exc
-    return np.asarray(vals, dtype=float), vecs
+    if m.n == 1:
+        return m.diag.copy(), np.ones((1, 1)) if vectors else None
+    return _stebz(m, 2, 0.0, 1.0, first + 1, first + k, 0.0, vectors)
 
 
 def eig_sym_window(m: TridiagSym, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -182,22 +225,13 @@ def eig_sym_window(m: TridiagSym, lo: float, hi: float) -> Tuple[np.ndarray, np.
     if m.n == 1:
         inside = lo < m.diag[0] <= hi
         return m.diag[:int(inside)].copy(), np.ones((1, int(inside)))
-    lapack = scipy.linalg.lapack
     tol = _WINDOW_TOL * (abs(lo) + abs(hi))
-    found, w, iblock, isplit, info = lapack.dstebz(m.diag, m.offdiag, 1, lo, hi, 0, 0, tol, "B")
-    if info == 0 and found:
-        z, info = lapack.dstein(m.diag, m.offdiag, w[:found], iblock, isplit)
-    if info != 0:
-        raise EigenConvergenceError(m.n, f"stebz/stein info={info} on ({lo}, {hi}]")
-    if not found:
-        return np.empty(0), np.empty((m.n, 0))
-    order = np.argsort(w[:found])
-    w, z = w[order], z[:, order]
+    w, z = _stebz(m, 1, lo, hi, 0, 0, tol, True)
     tz = m.diag[:, None] * z
     tz[:-1] += m.offdiag[:, None] * z[1:]
     tz[1:] += m.offdiag[:, None] * z[:-1]
-    vals = np.empty(found)
-    for run in np.split(np.arange(found), np.nonzero(np.diff(w) > _RITZ_RUN * tol)[0] + 1):
+    vals = np.empty(w.size)
+    for run in np.split(np.arange(w.size), np.nonzero(np.diff(w) > _RITZ_RUN * tol)[0] + 1):
         vals[run], rot = np.linalg.eigh(z[:, run].T @ tz[:, run])
         z[:, run] = z[:, run] @ rot
     return vals, z
@@ -210,8 +244,7 @@ def count_below(m: TridiagSym, x: float) -> int:
     ``m`` (Kahan), the accuracy of ``eig_sym_tridiag``'s eigenvalues."""
     if m.n == 1:
         return int(m.diag[0] <= x)
-    lapack = scipy.linalg.lapack
-    found, *_, info = lapack.dstebz(m.diag, m.offdiag, 1, -math.inf, x, 0, 0, math.inf, "B")
+    found, *_, info = _lapack.dstebz(m.diag, m.offdiag, 1, -math.inf, x, 0, 0, math.inf, "B")
     if info != 0:
         raise ValueError(f"Sturm count failed at x={x} (stebz info={info})")
     return int(found)
@@ -225,7 +258,7 @@ def _ldl_passes(d: np.ndarray, e: np.ndarray, cap: int, offdiag: np.ndarray) -> 
     stebz), and the next pass resumes below it; cap = 1 is one pass."""
     found = 0
     while d.size > 1:
-        row = scipy.linalg.lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
+        row = _lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
         found += row > 0
         if row == 0 or found == cap or row == d.size:
             return found
@@ -299,14 +332,13 @@ def certified_lowest(m: TridiagSym, lo: float) -> Optional[float]:
     exactly one at rho + that band; None when the factorization fails (lo is
     not below the spectrum), the iteration takes ``_INVERSE_MAX_STEPS``, or
     the counts do not certify rho (e.g. a second eigenvalue within the band)."""
-    lapack = scipy.linalg.lapack
-    d, e, info = lapack.dpttrf(m.diag - lo, m.offdiag)
+    d, e, info = _lapack.dpttrf(m.diag - lo, m.offdiag)
     if info != 0:
         return None
     x = np.full(m.n, 1.0 / math.sqrt(m.n))
     rho = math.inf
     for _ in range(_INVERSE_MAX_STEPS):
-        y = lapack.dpttrs(d, e, x)[0]
+        y = _lapack.dpttrs(d, e, x)[0]
         yy = float(y @ y)
         step = lo + float(x @ y) / yy
         if not step < rho:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from diracbag import dispersion, fiber, numerics
 from diracbag.numerics import Bracket, Grid1D, bisect
@@ -43,8 +42,9 @@ def test_theta_matches_bisection_oracle():
 
 @pytest.fixture
 def theta_work(monkeypatch):
-    # theta's work by kind: every eigensolve anywhere (scipy's driver under
-    # eig_sym_tridiag), every LAPACK gtsv solve, and theta's own LDL^T passes
+    # theta's work by kind: every LAPACK stebz call anywhere (each eigensolve by
+    # index or by value, and each Sturm count), every LAPACK gtsv solve, and
+    # theta's own LDL^T passes
     work = {"eig": 0, "gtsv": 0, "pass": 0}
 
     def counted(kind, fn):
@@ -53,9 +53,9 @@ def theta_work(monkeypatch):
             return fn(*a, **kw)
         return call
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                        counted("eig", scipy.linalg.eigh_tridiagonal))
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted("gtsv", scipy.linalg.lapack.dgtsv))
+    lapack = numerics._lapack
+    monkeypatch.setattr(lapack, "dstebz", counted("eig", lapack.dstebz))
+    monkeypatch.setattr(lapack, "dgtsv", counted("gtsv", lapack.dgtsv))
     monkeypatch.setattr(dispersion, "pivot_resolvent",
                         counted("pass", dispersion.pivot_resolvent))
     return work

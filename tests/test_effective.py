@@ -158,6 +158,31 @@ def test_qeff_general_band_matches_the_dense_solve(profile):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("profile", ["constant", "cosine"])
+def test_qeff_general_band_solve_is_scipys(profile, monkeypatch):
+    # qeff_general calls LAPACK zhbevx with the arguments scipy's
+    # eigvals_banded passes, so its values are scipy's bit for bit
+    bands, real = [], effective._lapack.zhbevx
+    monkeypatch.setattr(effective._lapack, "zhbevx", lambda band, *a, **kw: bands.append(
+        band.copy()) or real(band, *a, **kw))
+    s = 2 * math.pi * np.arange(256) / 256
+    kappa = 1.0 if profile == "constant" else 1.0 + 0.3 * np.cos(s)
+    for t_h, count in itertools.product((0.0, 0.37, 5.2), (1, 4, 8)):
+        bands.clear()
+        got = effective.qeff_general(effective.EffSpec(L=2 * math.pi, t_h=t_h, kappa=kappa),
+                                     count).values
+        want = scipy.linalg.eigvals_banded(bands[0], lower=True, select="i",
+                                           select_range=(0, count - 1))
+        assert bands[0].shape[0] == (1 if profile == "constant" else 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_qeff_general_failed_band_solve_raises():
+    # a NaN sample reaches the band; LAPACK's failure is an error, not values
+    with pytest.raises(np.linalg.LinAlgError):
+        effective.qeff_general(effective.EffSpec(L=6.0, t_h=0.3, kappa=[1.0, math.nan]), 3)
+
+
 def test_qeff_boundedness_over_flux():
     spec = effective.EffSpec.disk(1.0, 0.1, 1.3132547)
     for t in np.linspace(0.0, 1.0, 7):

@@ -97,15 +97,67 @@ def test_exports_exist_once(path):
     assert [name for name in exported if not hasattr(module, name)] == []
 
 
-def test_no_sparse_import():
-    # the CLI imports every module; none needs a scipy subpackage but
-    # scipy.linalg (sparse, special, integrate, fft or optimize would each add
-    # to a fresh process's start-up time)
-    probe = ("import sys, diracbag.cli; print(sorted(name for name, mod in sys.modules.items() "
-             "if name.startswith('scipy.') and name.count('.') == 1 "
-             "and not name[6:].startswith('_') and hasattr(mod, '__path__')))")
+def _run(probe: str) -> str:
+    """stdout of ``python -c probe`` in a fresh process that imports this package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout == "['scipy.linalg']\n"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+# numpy subpackages that the array API layer of every scipy package loads
+_NUMPY_EXTRAS = ("numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random")
+
+
+def test_no_sparse_import():
+    # the CLI imports every module; none needs a scipy package (sparse, linalg,
+    # special, integrate, fft or optimize would each add to a fresh process's
+    # start-up time), only the LAPACK extension module
+    probe = ("import sys, diracbag.cli; print(sorted(name for name, mod in sys.modules.items() "
+             "if (name.partition('.')[0] == 'scipy' and hasattr(mod, '__path__')) "
+             f"or name in {_NUMPY_EXTRAS!r}))")
+    assert _run(probe) == "[]\n"
+
+
+def test_solves_import_nothing_more():
+    # every import is made when the CLI is: the first C_k, Galerkin solve and
+    # disk spectrum (hermgauss, fft, the LAPACK routines) add no module
+    probe = ("import sys, diracbag.cli\n"
+             "from diracbag import constants, disk, effective\n"
+             "before = set(sys.modules)\n"
+             "constants.ck_constant(3, constants.BargmannWeight.isotropic(1.0), "
+             "constants.BoundaryCurve.circle(1.0))\n"
+             "effective.qeff_general(effective.EffSpec(6.0, 0.3, [1.0, 2.0, 1.0]), 3)\n"
+             "disk.dirac_spectrum(disk.DiskSpec.make(disk.RadialField(1.0, 1.0), 0.2, n=201), 2)\n"
+             "print(sorted(set(sys.modules) - before))")
+    assert _run(probe) == "[]\n"
+
+
+@pytest.mark.parametrize("first", ["diracbag.numerics", "scipy.linalg.lapack"])
+def test_lapack_is_scipys_module_in_either_import_order(first):
+    # numerics loads scipy's LAPACK extension itself; a scipy.linalg imported
+    # before or after it must use that same module
+    second = "scipy.linalg.lapack" if first == "diracbag.numerics" else "diracbag.numerics"
+    probe = (f"import {first}, {second}, sys\n"
+             "from diracbag import numerics\n"
+             "import scipy.linalg.lapack as lapack\n"
+             "print(lapack.dstebz is numerics._lapack.dstebz, "
+             "numerics._lapack is sys.modules['scipy.linalg._flapack'])")
+    assert _run(probe) == "True True\n"
+
+
+def test_lapack_falls_back_to_the_package(tmp_path):
+    # where scipy's directory holds no LAPACK extension file, numerics imports
+    # the module through scipy.linalg, and it is the one scipy uses
+    probe = ("import importlib.machinery, importlib.util, sys\n"
+             "real = importlib.util.find_spec\n"
+             "empty = importlib.machinery.ModuleSpec('scipy', None, is_package=True)\n"
+             f"empty.submodule_search_locations = [{str(tmp_path)!r}]\n"
+             "importlib.util.find_spec = lambda name, package=None: (\n"
+             "    empty if name == 'scipy' else real(name, package))\n"
+             "from diracbag import numerics\n"
+             "print('scipy.linalg' in sys.modules)\n"
+             "import scipy.linalg.lapack as lapack\n"
+             "print(lapack.dstebz is numerics._lapack.dstebz, "
+             "numerics._lapack is sys.modules['scipy.linalg._flapack'])")
+    assert _run(probe) == "True\nTrue True\n"

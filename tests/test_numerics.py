@@ -8,6 +8,7 @@ from diracbag import disk, numerics
 from diracbag.numerics import (
     Bracket,
     BracketError,
+    EigenConvergenceError,
     Grid1D,
     TridiagSym,
     bisect,
@@ -68,6 +69,14 @@ def test_eig_interlacing_under_refinement():
 def test_eig_k_out_of_range():
     with pytest.raises(ValueError):
         eig_sym_tridiag(TridiagSym(np.array([1.0, 2.0]), np.array([0.5])), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eig_non_finite_raises(bad):
+    m = TridiagSym(np.array([1.0, bad, 2.0]), np.array([0.5, 0.5]))
+    for vectors in (False, True):
+        with pytest.raises(EigenConvergenceError):
+            eig_sym_tridiag(m, 2, vectors=vectors)
 
 
 def test_eig_from_a_first_index():
@@ -222,8 +231,8 @@ def test_pivot_count_passes(monkeypatch):
     # one pttrf pass per counted pivot, at most cap of them: cap = 1 is a
     # single definiteness pass, as the k = 1 signs always took
     passes = []
-    real = scipy.linalg.lapack.dpttrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf",
+    real = numerics._lapack.dpttrf
+    monkeypatch.setattr(numerics._lapack, "dpttrf",
                         lambda *a, **kw: passes.append(1) or real(*a, **kw))
     m = TridiagSym(np.arange(1.0, 11.0), np.full(9, 0.1))  # eigenvalues near 1..10
     for x, cap, count, calls in ((0.5, 1, 0, 1), (5.5, 1, 1, 1), (5.5, 3, 3, 3), (5.5, 20, 5, 6),
@@ -315,6 +324,21 @@ def test_eig_sym_tridiag_is_stebz_at_zero_tolerance():
             mk, w, *_, info = scipy.linalg.lapack.dstebz(m.diag, m.offdiag, 2, 0, 0, 1, k, 0.0, "E")
             assert info == 0 and mk == k
             assert got.tobytes() == w[:k].tobytes()
+
+
+def test_eig_sym_tridiag_keeps_scipys_bits():
+    # eig_sym_tridiag calls LAPACK with the arguments scipy's eigh_tridiagonal
+    # passes, so values and vectors are scipy's bit for bit, from either index
+    for m in _sign_scan_matrices()[:3] + [TridiagSym(np.array([3.0, 1.0, 2.0, 5.0]), np.zeros(3))]:
+        for first, k in ((0, 1), (0, 3), (3, 1)):
+            rng = (first, first + k - 1)
+            vals, none = eig_sym_tridiag(m, k, first=first)
+            want = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True, select="i",
+                                    select_range=rng)
+            assert none is None and vals.tobytes() == want.tobytes()
+            vals, vecs = eig_sym_tridiag(m, k, vectors=True, first=first)
+            want, want_vecs = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=rng)
+            assert vals.tobytes() == want.tobytes() and vecs.tobytes() == want_vecs.tobytes()
 
 
 def _window_matrices():
