@@ -16,7 +16,7 @@ factorization of the monomials on an exact Gauss-Hermite rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,20 +27,19 @@ __all__ = ["BargmannWeight", "BoundaryCurve", "CkResult", "bargmann_distance",
 MAX_K = 40  # QR's dist_B^2 is within 1e-14 of the isotropic closed form up to here
 
 
-@dataclass(frozen=True)
-class BargmannWeight:
+class BargmannWeight(NamedTuple("BargmannWeight", [("hess", np.ndarray)])):
     """Anisotropic Gaussian weight exp(-Hess(y, y)) with a 2x2 SPD Hessian."""
 
-    hess: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = np.asarray(self.hess, dtype=float)
+    def __new__(cls, hess: np.ndarray):
+        h = np.asarray(hess, dtype=float)
         if h.shape != (2, 2):
             raise ValueError(f"expected 2x2 Hessian, got {h.shape}")
         h = 0.5 * (h + h.T)
-        if np.any(np.linalg.eigvalsh(h) <= 0):
+        if not np.all(np.linalg.eigvalsh(h) > 0):
             raise ValueError("Hessian must be positive definite")
-        object.__setattr__(self, "hess", h)
+        return super().__new__(cls, h)
 
     @classmethod
     def isotropic(cls, b0: float) -> "BargmannWeight":
@@ -48,27 +47,24 @@ class BargmannWeight:
         return cls(hess=np.eye(2) * (b0 / 2.0))
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(NamedTuple("BoundaryCurve", [("radius", float), ("z_min", complex)])):
     """Circle of the given radius about the origin, with an interior z_min."""
 
-    radius: float
-    z_min: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"R must be positive, got {self.radius}")
-        if not abs(self.z_min) < self.radius:
-            raise ValueError(
-                f"need |z_min| < R, got |z_min| = {abs(self.z_min)}, R = {self.radius}")
+    def __new__(cls, radius: float, z_min: complex):
+        if not radius > 0:
+            raise ValueError(f"R must be positive, got {radius}")
+        if not abs(z_min) < radius:
+            raise ValueError(f"need |z_min| < R, got |z_min| = {abs(z_min)}, R = {radius}")
+        return super().__new__(cls, radius, z_min)
 
     @classmethod
     def circle(cls, radius: float, z_min: complex = 0.0) -> "BoundaryCurve":
         return cls(radius=radius, z_min=complex(z_min))
 
 
-@dataclass(frozen=True)
-class CkResult:
+class CkResult(NamedTuple):
     k: int
     dist_H: float
     dist_B: float
@@ -113,6 +109,6 @@ def ck_constant(k: int, w: BargmannWeight, curve: BoundaryCurve) -> CkResult:
 
 def lambda_plus_prediction(ck: CkResult, phi_min: float, h: float) -> float:
     """Leading-order positive eigenvalue C_k h^{1-k} e^{2 phi_min / h}."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
     return ck.Ck * h ** (1 - ck.k) * math.exp(2.0 * phi_min / h)

@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,17 +61,17 @@ _ROOT_REL_TOL = 1e-9  # relative width at which every disk root bisection stops
 POSITIVE_H_MIN = 0.05  # below it ell_k's rounding error swamps the plus roots' lambda^2
 
 
-@dataclass(frozen=True)
-class RadialField:
+class RadialField(NamedTuple("RadialField", [
+        ("B", Union[float, Callable[[np.ndarray], np.ndarray]]), ("R", float)])):
     """Radial magnetic profile B(r) on [0, R], of one sign and not identically
     zero (isolated zeros are allowed); ``RadialField(-B, R)`` reverses it."""
 
-    B: Union[float, Callable[[np.ndarray], np.ndarray]]
-    R: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"R must be positive, got {self.R}")
+    def __new__(cls, B, R: float):
+        if not R > 0:
+            raise ValueError(f"R must be positive, got {R}")
+        return super().__new__(cls, B, R)
 
     def samples(self, r: np.ndarray) -> np.ndarray:
         if callable(self.B):
@@ -84,8 +84,7 @@ class RadialField:
         return vals
 
 
-@dataclass
-class RadialGauge:
+class RadialGauge(NamedTuple):
     """Coulomb-gauge data: phi'' + phi'/r = B, phi(R) = 0.
 
     phi'(r) = (1/r) int_0^r s B(s) ds, so for B > 0 phi is subharmonic with
@@ -143,7 +142,7 @@ class DiskSpec:
     rgrid: Grid1D
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
 
     @classmethod
@@ -183,8 +182,7 @@ class DiskSpec:
         return fine, np.exp(logw - scale), scale, {}
 
 
-@dataclass
-class DiracSpectrum:
+class DiracSpectrum(NamedTuple):
     """Signed disk Dirac spectrum; ``neg`` holds |negative eigenvalues|."""
 
     pos: np.ndarray
@@ -274,7 +272,7 @@ def check_grid(spec: DiskSpec) -> None:
 
 def mode_ell(spec: DiskSpec, m: int, field_sign: str, lam: float, k: int) -> np.ndarray:
     """ell_1(lambda)..ell_k(lambda) for angular mode m."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return eig_sym_tridiag(_ModeOperator(spec, m, field_sign).matrix(lam), k)[0] - lam * lam
 

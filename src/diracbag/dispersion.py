@@ -12,8 +12,7 @@ gamma, the rate Lambda(a) and the interior-well coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -47,8 +46,7 @@ _XI_SCAN_STEP = 0.25
 _ALPHA_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
+class ThetaPoint(NamedTuple):
     """One point of a Dirac dispersion curve: nu_k^{sign}(theta, xi) = theta^2."""
 
     sign: str
@@ -57,8 +55,7 @@ class ThetaPoint:
     theta: float
 
 
-@dataclass(frozen=True)
-class A0Result:
+class A0Result(NamedTuple):
     """The gap constant and the quantities derived from it (d2xi_nu = 2 a0 u0sq)."""
 
     a0: float
@@ -152,7 +149,7 @@ def nu_of_alpha(alpha: float, n: int = fiber.DEFAULT_N) -> Tuple[float, float, f
     At small alpha g dips only ~alpha / 3 below zero; below the grid's error
     (alpha < ~0.03 at n = 1001, ~0.002 at n = 4001) RuntimeError is raised.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x1 = _truncation(alpha)
     grid = Grid1D(0.0, x1, n)
@@ -249,8 +246,8 @@ def cxi_pairings(at_a0: A0Result, n: int = fiber.DEFAULT_N) -> Tuple[float, floa
 
 def lambda_cap(a: float, b0: float, b0p: float, n: int = fiber.DEFAULT_N) -> float:
     """Leading negative-eigenvalue rate Lambda(a) = min(2 b0, b0' nu(a / sqrt(b0')))."""
-    if a < 0 or b0 <= 0 or b0p <= 0:
-        raise ValueError("need a >= 0 and positive field bounds")
+    if not (a >= 0 and b0 > 0 and b0p > 0):
+        raise ValueError(f"need a >= 0, b0 > 0 and b0p > 0, got a = {a}, b0 = {b0}, b0p = {b0p}")
     if a == 0.0:
         return 0.0
     nu, _, _ = nu_of_alpha(a / math.sqrt(b0p), n)
@@ -272,7 +269,7 @@ def c_gamma(gamma: float, n: int = fiber.DEFAULT_N, tol: float = 1e-7) -> float:
     there.  Where f never dips below zero (see nu_of_alpha) RuntimeError is
     raised, not a tail root.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     slope = (1.0 + gamma * gamma) / (2.0 * gamma)
 
@@ -293,8 +290,8 @@ def interior_c0(hessB: np.ndarray, B0: float) -> float:
     h = np.asarray(hessB, dtype=float)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 Hessian, got shape {h.shape}")
-    if B0 <= 0:
+    if not B0 > 0:
         raise ValueError(f"B0 must be positive, got {B0}")
-    if np.any(np.linalg.eigvalsh(0.5 * (h + h.T)) <= 0):
+    if not np.all(np.linalg.eigvalsh(0.5 * (h + h.T)) > 0):
         raise ValueError("Hessian must be positive definite")
     return math.sqrt(float(np.linalg.det(h))) / B0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.fft import fft
@@ -54,6 +54,8 @@ class EffSpec:
 
     @classmethod
     def disk(cls, R: float, h: float, a0: float) -> "EffSpec":
+        if not R > 0:
+            raise ValueError(f"R must be positive, got {R}")
         L = 2.0 * math.pi * R
         area = math.pi * R * R
         return cls(
@@ -63,8 +65,7 @@ class EffSpec:
         )
 
 
-@dataclass
-class EffSpectrum:
+class EffSpectrum(NamedTuple):
     """Ascending eigenvalues; ``m_sequence`` is filled by the disk route."""
 
     values: np.ndarray
@@ -73,8 +74,8 @@ class EffSpectrum:
 
 def flux_th(area: float, L: float, h: float, a0: float) -> float:
     """Flux constant t_h = area/(h L) - a0/sqrt(h) + pi/L."""
-    if L <= 0 or h <= 0 or area < 0:
-        raise ValueError("need L > 0, h > 0, area >= 0")
+    if not (L > 0 and h > 0 and area >= 0):
+        raise ValueError(f"need L > 0, h > 0, area >= 0, got L = {L}, h = {h}, area = {area}")
     return area / (h * L) - a0 / math.sqrt(h) + math.pi / L
 
 
@@ -87,8 +88,10 @@ def qeff_disk(t_h: float, R: float, count: int) -> EffSpectrum:
     momenta; for general R the momentum lattice is Z / R, matching the
     gauge period 2 pi / |dOmega| = 1/R.
     """
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
+    if not math.isfinite(t_h):
+        raise ValueError(f"t_h must be finite, got {t_h}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     center = int(round(-t_h * R))
@@ -129,6 +132,8 @@ def qeff_general(spec: EffSpec, count: int) -> EffSpectrum:
     are kept, and the values are checked against a solve with 8 more on
     each side.
     """
+    if not (spec.L > 0 and math.isfinite(spec.t_h)):
+        raise ValueError(f"need L > 0 and a finite t_h, got L = {spec.L}, t_h = {spec.t_h}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     cutoff = _cutoff(count)

@@ -96,7 +96,7 @@ def fiber_eigs(sign: str, alpha: float, xi: float, grid: Grid1D) -> Tuple[float,
     u is sampled on ``grid.nodes()``, has unit L2 norm under the grid
     quadrature and is positive at its maximum, so u[0] is the boundary trace.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if grid.x0 != 0.0:
         raise ValueError("half-line grid must start at 0")
@@ -113,7 +113,7 @@ def fiber_eigs(sign: str, alpha: float, xi: float, grid: Grid1D) -> Tuple[float,
 @functools.lru_cache(maxsize=200_000)
 def _values(sign: str, alpha: float, xi: float, n: int, x1: float, k: int) -> Tuple[float, ...]:
     """Values-only half-line solve, cached for parameter scans."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     vals, _ = eig_sym_tridiag(half_line_matrix(sign, xi, Grid1D(0.0, x1, n), alpha), k)
     return tuple(float(v) for v in vals)

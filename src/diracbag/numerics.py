@@ -17,8 +17,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,19 +102,17 @@ class BracketError(ValueError):
     """Raised when a root bracket does not enclose a sign change."""
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(NamedTuple("Grid1D", [("x0", float), ("x1", float), ("n", int)])):
     """Uniform grid with n nodes on [x0, x1]."""
 
-    x0: float
-    x1: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"Grid1D needs n >= 3, got {self.n}")
-        if not self.x1 > self.x0:
-            raise ValueError(f"Grid1D needs x1 > x0, got [{self.x0}, {self.x1}]")
+    def __new__(cls, x0: float, x1: float, n: int):
+        if n < 3:
+            raise ValueError(f"Grid1D needs n >= 3, got {n}")
+        if not x1 > x0:
+            raise ValueError(f"Grid1D needs x1 > x0, got [{x0}, {x1}]")
+        return super().__new__(cls, x0, x1, n)
 
     @property
     def step(self) -> float:
@@ -125,45 +122,39 @@ class Grid1D:
         return np.linspace(self.x0, self.x1, self.n)
 
 
-@dataclass(frozen=True)
-class TridiagSym:
+class TridiagSym(NamedTuple("TridiagSym", [("diag", np.ndarray), ("offdiag", np.ndarray)])):
     """Real symmetric tridiagonal matrix (diag length n, offdiag length n-1)."""
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
+    def __new__(cls, diag: np.ndarray, offdiag: np.ndarray):
+        d = np.asarray(diag, dtype=float)
+        e = np.asarray(offdiag, dtype=float)
         if e.shape != (max(d.shape[0] - 1, 0),):
             raise ValueError(
                 f"offdiag length {e.shape} incompatible with diag length {d.shape}"
             )
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
+        return super().__new__(cls, d, e)
 
     @property
     def n(self) -> int:
         return self.diag.shape[0]
 
 
-@dataclass
-class Bracket:
+class Bracket(NamedTuple("Bracket", [("lo", float), ("hi", float), ("f_lo", float),
+                                     ("f_hi", float)])):
     """Sign-changing interval for the dichotomy method."""
 
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise BracketError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.f_lo * self.f_hi < 0.0:
+    def __new__(cls, lo: float, hi: float, f_lo: float, f_hi: float):
+        if not lo < hi:
+            raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
+        if not f_lo * f_hi < 0.0:
             raise BracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: "
-                f"f_lo={self.f_lo:.3e}, f_hi={self.f_hi:.3e}"
+                f"no sign change on [{lo}, {hi}]: f_lo={f_lo:.3e}, f_hi={f_hi:.3e}"
             )
+        return super().__new__(cls, lo, hi, f_lo, f_hi)
 
 
 def _stebz(m: TridiagSym, select: int, lo: float, hi: float, il: int, iu: int, tol: float,

@@ -585,6 +585,56 @@ def test_zigzag_matches_exact_kummer_values(unit_field):
     assert 3 <= ground_err[1001] / ground_err[2001] <= 5
 
 
+# the benchmark's disk values (B = 1, R = 1, n = 2001, count 5 per branch), exact:
+# with c = +B (pos) or -B (neg), z = c r^2 / (2 h) and a = -lam^2 / (2 h c), the
+# mode-m radial solution regular at 0 is F = M(a, m + 1, z) for m >= 0 and
+# z^|m| M(a + |m|, |m| + 1, z) for m < 0 (Kummer M), and its wall condition is
+# G_m(lam) = c R F_z(R) + lam F(R) = 0; each root is mpmath's findroot on G_m from
+# the FD value, at 60 digits, cut to 40
+DISK_EXACT = {
+    (0.2, "pos"): [
+        ((0, 1), 0.08263271678743870263828770148380726485319),
+        ((1, 1), 0.2367472763680876097116054413783463327329),
+        ((2, 1), 0.4206218746295366660109985749105920052841),
+        ((3, 1), 0.6162971371734710413539598124898272151501),
+        ((-1, 1), 0.7454082667128169838764096425248375235995),
+    ],
+    (0.2, "neg"): [
+        ((0, 1), 0.5815205885058001901010974370106164121313),
+        ((-1, 1), 0.6415020223236154371512337240477825084185),
+        ((-2, 1), 0.7896393075661867221893355627190648642795),
+        ((1, 1), 0.8706873510155311041482608088797486037175),
+        ((-3, 1), 0.9750215143365799362417347032883490376791),
+    ],
+    (0.1, "pos"): [
+        ((0, 1), 0.006728290921599177678610267517576498672301),
+        ((1, 1), 0.0335567700124981061020838154874061631638),
+        ((2, 1), 0.08583339353084337247832721058821020147046),
+        ((3, 1), 0.1574510717597120014118735805535295941029),
+        ((4, 1), 0.2407206203240116488046720577262252443586),
+    ],
+    (0.1, "neg"): [
+        ((-1, 1), 0.415639979389385975064397883751451864649),
+        ((-2, 1), 0.4211180277956082507351896736482017119506),
+        ((0, 1), 0.4336259657214876408781172062597649180493),
+        ((-3, 1), 0.4586948062765603419660264562806214474207),
+        ((-4, 1), 0.520913144989864467652425917163102387876),
+    ],
+}
+
+
+def test_disk_values_match_exact_kummer_roots(disk_runs):
+    for (h, side), pins in DISK_EXACT.items():
+        sp = disk_runs[h]["spectrum"]
+        values, prov = (sp.pos, sp.pos_provenance) if side == "pos" else (sp.neg, sp.neg_provenance)
+        exact = np.array([value for _, value in pins])
+        # the FD (m, k) order is the exact one: the pins ascend in it
+        assert list(prov) == [mk for mk, _ in pins]
+        assert np.all(np.diff(exact) > 0)
+        # 7.9e-11 to 1.334e-6 measured, the largest at plus (0, 1), h = 0.1
+        assert np.max(np.abs(values / exact - 1)) <= 1.4e-6
+
+
 # zigzag values for B = 1 + r^2 on the unit disk at n = 2001, from the
 # separate Dirichlet assembly the mode form replaced
 ZIGZAG_VARFIELD = {

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from diracbag import effective
+from diracbag import constants, disk, dispersion, effective
 from diracbag.dispersion import A0Result
 
 
@@ -248,3 +249,39 @@ def test_lambda_minus_prediction():
         a0res.c0 * 0.1**1.5 * (eff.values[1] - eff.values[0]), rel=1e-12)
     with pytest.raises(ValueError):
         effective.lambda_minus_prediction(9, 0.1, a0res, eff)
+
+
+NAN = math.nan
+_UNIT = disk.RadialField(1.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: disk.RadialField(1.0, NAN), "R must be positive, got nan"),
+    (lambda: disk.DiskSpec(_UNIT, NAN, (0, 0), disk._shifted_grid(1.0, 11)),
+     "h must be positive, got nan"),
+    (lambda: disk.DiskSpec.make(_UNIT, NAN), "h must be positive, got nan"),
+    (lambda: disk.mode_ell(disk.DiskSpec.make(_UNIT, 0.2, n=101), 0, "plus", NAN, 1),
+     "lambda must be positive, got nan"),
+    (lambda: constants.BargmannWeight.isotropic(NAN), "Hessian must be positive definite"),
+    (lambda: constants.BoundaryCurve.circle(NAN), "R must be positive, got nan"),
+    (lambda: constants.lambda_plus_prediction(constants.CkResult(1, 1.0, 1.0, 1.0), -0.25, NAN),
+     "h must be positive, got nan"),
+    (lambda: effective.flux_th(math.pi, 2 * math.pi, NAN, 1.3), "h = nan"),
+    (lambda: effective.EffSpec.disk(NAN, 0.1, 1.3), "R must be positive, got nan"),
+    (lambda: effective.qeff_disk(0.3, NAN, 3), "R must be positive, got nan"),
+    (lambda: effective.qeff_disk(NAN, 1.0, 3), "t_h must be finite, got nan"),
+    (lambda: effective.qeff_general(effective.EffSpec(NAN, 0.3, 1.0), 3), "L = nan"),
+    (lambda: effective.qeff_general(effective.EffSpec(6.0, NAN, 1.0), 3), "t_h = nan"),
+    (lambda: dispersion.nu_of_alpha(NAN), "alpha must be positive, got nan"),
+    (lambda: dispersion.lambda_cap(1.0, NAN, 1.0), "b0 = nan"),
+    (lambda: dispersion.c_gamma(NAN), "gamma must be positive, got nan"),
+    (lambda: dispersion.interior_c0(np.eye(2), NAN), "B0 must be positive, got nan"),
+    (lambda: dispersion.interior_c0(np.full((2, 2), NAN), 1.0), "Hessian must be positive definite"),
+], ids=["RadialField", "DiskSpec", "DiskSpec.make", "mode_ell", "BargmannWeight",
+        "BoundaryCurve", "lambda_plus_prediction", "flux_th", "EffSpec.disk", "qeff_disk.R",
+        "qeff_disk.t_h", "qeff_general.L", "qeff_general.t_h", "nu_of_alpha", "lambda_cap",
+        "c_gamma", "interior_c0.B0", "interior_c0.hess"])
+def test_nan_inputs_are_rejected(build, message):
+    # NaN compares false with everything, so a check written "x <= 0" lets it through
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

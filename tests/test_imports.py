@@ -161,3 +161,18 @@ def test_lapack_falls_back_to_the_package(tmp_path):
              "print(lapack.dstebz is numerics._lapack.dstebz, "
              "numerics._lapack is sys.modules['scipy.linalg._flapack'])")
     assert _run(probe) == "True\nTrue True\n"
+
+
+def test_only_specs_callers_replace_are_dataclasses():
+    # value and result types are NamedTuples: a dataclass generates its methods
+    # with exec at every import.  DiskSpec stays one because it holds cached
+    # properties (they need an instance __dict__) and ``make`` sets its window
+    # after construction; EffSpec because the CLI and the benchmark's check shift
+    # its flux with ``dataclasses.replace``
+    probe = ("import dataclasses, inspect, sys, diracbag.cli\n"
+             "print(sorted(name for mod, module in list(sys.modules.items())\n"
+             "             if mod.startswith('diracbag.')\n"
+             "             for name, obj in vars(module).items()\n"
+             "             if inspect.isclass(obj) and obj.__module__ == mod\n"
+             "             and not name.startswith('_') and dataclasses.is_dataclass(obj)))")
+    assert _run(probe) == "['DiskSpec', 'EffSpec']\n"
